@@ -14,8 +14,16 @@ tau = beta*z with beta = 1:
       c0(tau) = J_0(2 tau) + sum_{k>=1} (c^k + c^{k-1}) J_{2k}(2 tau),
       c = 1 - delta^2,
 
-  valid in every regime, used internally and as the numerically best
-  conditioned evaluator.
+  valid in every regime and the best conditioned evaluator near
+  delta = 1.
+
+The three Bessel series are weight arrays for one kernel,
+:func:`_bessel_sum`.  Domains: the series (and :func:`c0_closed_form`)
+return to within SERIES_ACCURACY = 1e-8 and raise SeriesDivergenceError
+where cancellation would lose more -- at tau <= 4 the closed form for
+delta in about [0.970, 1.028], survival_series for delta >~ 4.9, both
+wider at larger tau.  :func:`c0_contour` returns to ~1e-10 and raises
+QuadratureError where its quadrature is ill conditioned.
 
 printed vs reconciled
 ---------------------
@@ -56,6 +64,12 @@ from .errors import InvalidSpecError, QuadratureError, SeriesDivergenceError
 #: below this distance from delta = 1 every evaluator routes to the
 #: critical branch (gamma -> 0 makes both correction series singular)
 CRITICAL_WINDOW = 1e-6
+
+#: documented accuracy of the Bessel series; a larger error bound raises
+SERIES_ACCURACY = 1e-8
+#: contour refinement agreement, and the bound on its rounding error
+CONTOUR_ACCURACY = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 _VARIANTS = ("reconciled", "printed")
 
@@ -120,74 +134,81 @@ def _check_variant(variant: str):
         raise InvalidSpecError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
+def _order_cap(y: float, tol: SeriesTolerance, name: str) -> int:
+    """Smallest order L > y = rho*x/2 with y^L / L! < abs_tol; as
+    |w_l J_l(x)| <~ y^l / l!, every later term is smaller.  The search
+    stops at e^2 y - ln(abs_tol), where ln(y^L / L!) <= -L.
+    """
+    if y == 0.0:
+        return 0
+    if y <= tol.max_terms:  # false for inf and nan
+        hi = min(tol.max_terms, int(math.e ** 2 * y - math.log(tol.abs_tol)) + 1)
+        orders = np.arange(1, hi + 1)
+        log_terms = np.cumsum(math.log(y) - np.log(orders))
+        past = orders[(orders > y) & (log_terms < math.log(tol.abs_tol))]
+        if past.size:
+            return int(past[0])
+    raise SeriesDivergenceError(f"{name} needs more than {tol.max_terms} orders")
+
+
+def _bessel_sum(name: str, tau: float, rho: float, weights, tol: SeriesTolerance) -> float:
+    """sum_l w_l J_l(2 tau) for l = 0..L, with w = weights(L) growing like rho^l.
+
+    eps * sum_l |w_l J_l| bounds the sum's rounding error (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 4).  A bound above
+    SERIES_ACCURACY, or a weight or term that is not finite, raises
+    SeriesDivergenceError instead of returning lost digits.
+    """
+    x = 2.0 * tau
+    cap = _order_cap(0.5 * rho * x, tol, name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = weights(cap)
+        if np.all(np.isfinite(terms)):  # an overflowing weight skips the recurrence
+            terms = terms * bessel_j_array(cap, x)
+    if not np.all(np.isfinite(terms)):
+        raise SeriesDivergenceError(f"{name} overflows at tau={tau}", last_term=math.inf)
+    scale = float(np.sum(np.abs(terms)))
+    if _EPS * scale > SERIES_ACCURACY:
+        raise SeriesDivergenceError(
+            f"{name} at tau={tau} loses ~{math.log10(scale):.1f} digits to cancellation "
+            f"(error bound {_EPS * scale:.1e} > {SERIES_ACCURACY:g}); survival_series is "
+            "well conditioned near delta = 1",
+            last_term=abs(float(terms[-1])),
+        )
+    return float(np.sum(terms))
+
+
 def s_less(
     tau: float,
     gamma: float,
     tol: SeriesTolerance = DEFAULT_TOL,
     variant: str = "printed",
 ) -> float:
-    """Correction term for the sub-critical branch (0 < gamma < 1).
+    """Correction term for the sub-critical branch (0 < gamma <= 1).
 
-    Evaluates the bilateral sum  sum_l J_l(2 tau)/gamma^l  and the even
-    sum  sum_{l>=0} J_{2l}(2 tau)/gamma^(2l), combines them with the
-    (1 + 1/gamma^2) prefactor, and adds the leading Bessel term:
-    2*J_0(2 tau) as printed, J_0(2 tau) reconciled.
-
-    The bilateral sum is truncated symmetrically; both sums stop once the
-    running term magnitude stays below abs_tol for 5 consecutive orders.
-    For gamma -> 0 the 1/gamma^l weights outgrow the Bessel decay within
-    the term cap and a SeriesDivergenceError is raised.
+    lead + (1 + 1/gamma^2) (bilateral/2 - even), bilateral = sum over all
+    integer l of J_l(2 tau)/gamma^l, even = sum_l J_{2l}(2 tau)/gamma^(2l),
+    lead = 2 J_0(2 tau) printed, J_0(2 tau) reconciled.  Pairing orders +-l
+    makes the bracket one sum of v_l J_l(2 tau), v_0 = -1/2 and
+    v_l = (-1)^(l+1) (gamma^-l - gamma^l)/2.  Domain: accurate to 1e-8;
+    raises SeriesDivergenceError where it would cancel past that (gamma -> 0
+    i.e. delta -> 1, large tau) or needs more than tol.max_terms orders.
     """
     _check_variant(variant)
-    if not 0.0 < gamma < 1.0:
-        raise InvalidSpecError(f"s_less needs 0 < gamma < 1, got {gamma}")
+    if not 0.0 < gamma <= 1.0:  # gamma = 1 where delta^2 underflows
+        raise InvalidSpecError(f"s_less needs 0 < gamma <= 1, got {gamma}")
     if tau < 0:
         raise InvalidSpecError("tau must be >= 0")
+    pref = 1.0 + 1.0 / (gamma * gamma)
+    lead = 2.0 if variant == "printed" else 1.0
 
-    x = 2.0 * tau
-    l_cap = int(min(tol.max_terms, 12 * tau + 80 + 40.0 / gamma))
-    js = bessel_j_array(l_cap, x)
+    def weights(cap):
+        l = np.arange(cap + 1)
+        w = 0.5 * pref * np.where(l % 2, 1.0, -1.0) * (gamma ** -l - gamma ** l)
+        w[0] = lead - 0.5 * pref
+        return w
 
-    j0 = js[0]
-    bilateral = j0  # l = 0 term
-    even = j0
-    quiet_bi = quiet_ev = 0
-    done_bi = done_ev = False
-    inv_g = 1.0 / gamma
-    pow_p = 1.0  # gamma^l
-    pow_m = 1.0  # gamma^-l
-    last = 0.0
-    for l in range(1, l_cap + 1):
-        pow_p *= gamma
-        pow_m *= inv_g
-        if pow_m > 1e280:
-            raise SeriesDivergenceError(
-                f"s_less weights overflow at order {l} (gamma={gamma})", last_term=last
-            )
-        if not done_bi:
-            sign = -1.0 if (l % 2) else 1.0
-            term = js[l] * (pow_m + sign * pow_p)  # +l and -l orders paired
-            bilateral += term
-            last = abs(term)
-            quiet_bi = quiet_bi + 1 if last < tol.abs_tol else 0
-            done_bi = quiet_bi >= 5
-        if not done_ev and (l % 2) == 0:
-            term = js[l] * pow_m
-            even += term
-            quiet_ev = quiet_ev + 1 if abs(term) < tol.abs_tol else 0
-            done_ev = quiet_ev >= 5
-        if done_bi and done_ev:
-            break
-    else:
-        raise SeriesDivergenceError(
-            f"s_less did not converge within {l_cap} orders (gamma={gamma}, tau={tau})",
-            last_term=last,
-        )
-
-    g2 = gamma * gamma
-    core = 0.5 * bilateral - even
-    lead = 2.0 * j0 if variant == "printed" else j0
-    return lead + (1.0 + 1.0 / g2) * core
+    return _bessel_sum("s_less", tau, 1.0 / gamma, weights, tol)
 
 
 def s_greater(
@@ -198,92 +219,53 @@ def s_greater(
 ) -> float:
     """Correction term for the super-critical branch (gamma > 0).
 
-    Double sum over n with inner orders l = n..2n, each term
-    (i tau)^(2n) / (l! (2n-l)!) carrying a gamma weight: exponent
-    2l-2n as printed, 2n-2l reconciled.  (i tau)^(2n) is evaluated as
-    (-1)^n tau^(2n) and the factorial ratios are built in log space.
-    Truncation: stop once the whole inner-sum contribution of an index n
-    stays below abs_tol for 3 consecutive n past the series hump.
+    J_0(2 tau) - (1 - 1/gamma^2) sum_n sum_{l=n}^{2n} (i tau)^(2n) gamma^e /
+    (l! (2n-l)!), e = 2l-2n printed, 2n-2l reconciled.  With l = n + m each
+    fixed-m inner sum is (-1)^m J_{2m}(2 tau), so the double sum is
+    sum_m (-1)^m r^m J_{2m}(2 tau), r = gamma^2 printed, gamma^-2 reconciled.
+    Domain: accurate to 1e-8 (relative to the terms for the growing printed
+    weights); raises SeriesDivergenceError like :func:`s_less`, here as
+    gamma -> 0 from delta > 1.
     """
     _check_variant(variant)
     if not gamma > 0:
         raise InvalidSpecError(f"s_greater needs gamma > 0, got {gamma}")
     if tau < 0:
         raise InvalidSpecError("tau must be >= 0")
+    pref = 1.0 - 1.0 / (gamma * gamma)
+    r = gamma * gamma if variant == "printed" else 1.0 / (gamma * gamma)
 
-    g2 = gamma * gamma
-    j0 = bessel_j(0, 2.0 * tau)
-    if tau == 0.0:
-        return j0 - (1.0 - 1.0 / g2)  # inner sum is exactly 1 at n = 0
+    def weights(cap):
+        w = np.zeros(cap + 1)
+        w[::2] = -pref * (-r) ** np.arange(cap // 2 + 1)
+        w[0] += 1.0  # the leading J_0(2 tau)
+        return w
 
-    ln_tau = math.log(tau)
-    ln_g = math.log(gamma)
-    exp_sign = 1.0 if variant == "printed" else -1.0
-    # contributions rise until n ~ tau * max(gamma, 1/gamma), then die
-    hump = tau * max(gamma, 1.0 / gamma, 1.0)
-    total = 0.0
-    quiet = 0
-    n = 0
-    while n < tol.max_terms:
-        inner = 0.0
-        ln_t2n = 2.0 * n * ln_tau
-        for l in range(n, 2 * n + 1):
-            ln_mag = (
-                ln_t2n
-                - math.lgamma(l + 1)
-                - math.lgamma(2 * n - l + 1)
-                + exp_sign * (2.0 * l - 2.0 * n) * ln_g
-            )
-            if ln_mag > 690.0:
-                raise SeriesDivergenceError(
-                    f"s_greater term overflow at n={n}, l={l} (gamma={gamma})",
-                    last_term=math.inf,
-                )
-            inner += math.exp(ln_mag)
-        contrib = (1.0 if (n % 2) == 0 else -1.0) * inner
-        total += contrib
-        if n > hump:
-            quiet = quiet + 1 if abs(contrib) < tol.abs_tol else 0
-            if quiet >= 3:
-                break
-        n += 1
-    else:
-        raise SeriesDivergenceError(
-            f"s_greater did not converge within {tol.max_terms} terms "
-            f"(gamma={gamma}, tau={tau})",
-            last_term=abs(contrib),
-        )
-    return j0 - (1.0 - 1.0 / g2) * total
+    return _bessel_sum("s_greater", tau, math.sqrt(r), weights, tol)
 
 
 def survival_series(delta: float, tau: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
     """Regime-independent resummed series for c0(tau); see module docstring.
 
-    Converges for every delta > 0 (the Bessel tail decays faster than any
-    geometric weight grows); for large delta the intermediate terms are
-    large and ~1e-12 absolute accuracy is the practical floor.
+    Converges for every delta > 0.  Domain: accurate to 1e-8, also around
+    delta = 1; its terms grow like exp(delta*tau) and cancel, so it raises
+    SeriesDivergenceError for delta >~ 4.9 at tau <= 4 (>~ 1.9 at tau = 20).
     """
     if not delta > 0:
         raise InvalidSpecError(f"delta must be > 0, got {delta}")
     if tau < 0:
         raise InvalidSpecError("tau must be >= 0")
-    x = 2.0 * tau
     c = 1.0 - delta * delta
-    l_cap = int(min(tol.max_terms, 2 * tau * max(1.0, abs(c)) + 12 * tau + 60))
-    js = bessel_j_array(2 * l_cap, x)
-    total = js[0]
-    ck_prev = 1.0  # c^(k-1)
-    quiet = 0
-    for k in range(1, l_cap + 1):
-        ck = ck_prev * c
-        term = (ck + ck_prev) * js[2 * k]
-        total += term
-        ck_prev = ck
-        if 2 * k > x:
-            quiet = quiet + 1 if abs(term) < tol.abs_tol else 0
-            if quiet >= 3:
-                break
-    return total
+
+    def weights(cap):
+        ck = c ** np.arange(cap // 2 + 1)  # c^0 .. c^(L/2)
+        w = np.zeros(cap + 1)
+        w[0] = 1.0
+        w[2::2] = ck[1:] + ck[:-1]
+        return w
+
+    # |c^k + c^(k-1)| <= 2 max(1, |c|)^k: growth per order sqrt(|c|)
+    return _bessel_sum("survival_series", tau, max(1.0, math.sqrt(abs(c))), weights, tol)
 
 
 def c0_closed_form(
@@ -303,6 +285,11 @@ def c0_closed_form(
     formulas (sub-critical branch then returns oracle + J_0(2 tau), so
     c0(0) = 2).  The result is real for this model; it is returned as
     complex to keep the amplitude interface uniform.
+
+    Domain: reconciled values are within 1e-8 of the exact amplitude,
+    within ~1.4 |delta - 1| inside CRITICAL_WINDOW; near delta = 1, where A
+    cancels against the correction series, S_< / S_> raise
+    SeriesDivergenceError (survival_series covers that band).
     """
     _check_variant(mode)
     params = regime_params(delta)
@@ -345,10 +332,12 @@ def c0_contour(
     Res = (z_p^2 - 1)/(2 z_p^2) * exp(i tau (z_p + 1/z_p)); the essential
     singularity at z = 0 is integrated by the periodic trapezoid rule on
     a circle of radius r0 = min(1, 0.9*gamma) (inside the poles), with the
-    point count doubled until two refinements agree within 1e-10.  Keeping
-    the circle radius at or below 1 bounds |exp(i tau (z + 1/z))| by
-    exp(tau (1/r0 - r0)) and keeps the quadrature well conditioned; one
-    large circle past the poles would lose ~exp(tau(r - 1/r)) digits.
+    point count doubled until two refinements agree within
+    CONTOUR_ACCURACY.  A radius at or below 1 bounds |exp(i tau (z + 1/z))|
+    by exp(tau (1/r0 - r0)); one large circle past the poles would lose
+    ~exp(tau(r - 1/r)) digits.  Domain: raises QuadratureError before the
+    quadrature where eps times that bound exceeds CONTOUR_ACCURACY (near
+    delta = 1, and at large tau below it) or a residue overflows.
     """
     if pole_convention not in ("printed", "reconciled"):
         raise InvalidSpecError(f"unknown pole convention {pole_convention!r}")
@@ -369,12 +358,22 @@ def c0_contour(
     # denominator quadratic consistent with the chosen pole pair
     quad_c = gamma * gamma if pole_convention == "printed" else (1.0 - d2)
 
-    total = 0j
-    for zp in poles:
-        res = (zp * zp - 1.0) / (2.0 * zp * zp)
-        total += res * cmath.exp(1j * tau * (zp + 1.0 / zp))
-
     r0 = min(1.0, 0.9 * gamma)
+    growth = tau * (1.0 / r0 - r0)  # log of the integrand's peak on the circle
+    if growth > math.log(CONTOUR_ACCURACY / _EPS):
+        raise QuadratureError(
+            f"quadrature ill conditioned at delta={delta}, tau={tau}: error "
+            f"~eps*exp({growth:.3g}) > {CONTOUR_ACCURACY:g}",
+            achieved=_EPS * math.exp(min(growth, 709.0)),
+        )
+    try:
+        total = sum(
+            (zp * zp - 1.0) / (2.0 * zp * zp) * cmath.exp(1j * tau * (zp + 1.0 / zp))
+            for zp in poles
+        )
+    except OverflowError:
+        raise QuadratureError(f"pole residue overflows at delta={delta}, tau={tau}") from None
+
     n = int(n_points_start)
     prev = None
     for _ in range(20):
@@ -382,7 +381,7 @@ def c0_contour(
         z = r0 * np.exp(1j * theta)
         f = np.exp(1j * tau * (z + 1.0 / z)) * (z * z - 1.0) / (z * (z * z + quad_c))
         val = complex(np.sum(f * z) / n)  # (1/2*pi*i) * closed integral
-        if prev is not None and abs(val - prev) < 1e-10:
+        if prev is not None and abs(val - prev) < CONTOUR_ACCURACY:
             return total + val
         prev = val
         n *= 2

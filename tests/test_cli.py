@@ -48,9 +48,13 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_domain_error_exits_1(tmp_path, capsys):
-    rc = main(["closed-form", "--delta", "-1", "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    # -1 is invalid; at 0.99 the closed form cancels past its 1e-8 accuracy
+    out = tmp_path / "x.csv"
+    for delta in ("-1", "0.99"):
+        rc = main(["closed-form", "--delta", delta, "--out", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_closed_form_csv(tmp_path):

@@ -1,13 +1,17 @@
 """Closed forms, contour integral, and bound states vs the propagation oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defectlattice import (
     InvalidSpecError,
     LatticeSpec,
+    QuadratureError,
     SeriesDivergenceError,
     SeriesTolerance,
     TimeGrid,
@@ -23,6 +27,7 @@ from defectlattice import (
     s_less,
     survival_series,
 )
+from defectlattice.survival import CRITICAL_WINDOW
 from helpers import J1_FIRST_ZERO, propagation_c0, series_j
 
 
@@ -257,6 +262,102 @@ def test_contour_domain_errors():
         c0_contour(1.0 + 1e-9, 1.0)
     with pytest.raises(InvalidSpecError):
         c0_contour(0.5, -1.0)
+
+
+# ------------------------------------------------------- frozen values, domain
+
+_TAUS = (0.0, 0.7, 2.0, 4.0)
+
+# values of the per-order loops and the lgamma double sum these series
+# replaced, at _TAUS
+_S_LESS_FROZEN = {
+    (0.5, "printed"): [-0.5, 0.5209048152750215, -0.371839663766818, 0.19398713622186592],
+    (0.5, "reconciled"): [-1.5, -0.04595030509926723, 0.025310146097029307, 0.022336329084312045],
+    (0.88, "printed"): [0.8543388429752066, 0.5568002446480377, -0.39230178999519877, 0.17446311187372188],
+    (0.88, "reconciled"): [-0.14566115702479343, -0.010054875726251078, 0.004848019868648523, 0.002812304736168003],
+}
+_S_GREATER_FROZEN = {
+    (0.5, "printed"): [4.0, 2.113595721736039, -1.8112379851444371, 0.7382160798200179],
+    (0.5, "reconciled"): [4.0, 0.1859417131869276, 0.6764754922149256, -2.397176631370769],
+    (0.88, "printed"): [1.2913223140495869, 0.6867760359646564, -0.5521156455264544, 0.20210886205736706],
+    (0.88, "reconciled"): [1.2913223140495869, 0.6582953841963848, -0.5409873727394813, 0.13004984295595756],
+    (1.5, "printed"): [0.4444444444444444, 0.4865859371633612, -0.25293612161806234, 0.5792300638559835],
+    (1.5, "reconciled"): [0.4444444444444444, 0.30214744198741894, -0.1151450943171996, 0.07211881708906205],
+    # at tau = 4 the double sum returned 0.2631154333367679, 2.3e-9 (8.6e-9
+    # relative) off the 50-digit mpmath value pinned here
+    (4.05, "printed"): [0.060966316110349084, 1.48566230144643, 0.21604682608114717, 0.2631154310662948],
+    (4.05, "reconciled"): [0.060966316110349084, 0.046398474726564665, -0.004337461840815016, 0.004432915505000967],
+}
+# survival_series at delta = sqrt(1 - gamma^2) ("sub") and sqrt(1 + gamma^2) ("super")
+_SERIES_FROZEN = {
+    (0.5, "sub"): [1.0, 0.8288940676786208, 0.14977781701666162, 0.028533209525997295],
+    (0.5, "super"): [1.0, 0.7206798801354046, -0.17451106417478648, 0.12003795586816478],
+    (0.88, "sub"): [1.0, 0.9474038689259002, 0.6909387689920997, 0.4136846758089646],
+    (0.88, "super"): [1.0, 0.6120717501822163, -0.3578825758351286, 0.19119846256156386],
+    (1.5, "super"): [1.0, 0.33220479226616706, -0.32072471485194065, -0.33129000910128614],
+    (4.05, "super"): [1.0, -0.8842481126146317, -0.6374093967964254, -0.08099970652586438],
+}
+
+
+@pytest.mark.parametrize("key", sorted(_S_LESS_FROZEN))
+def test_s_less_frozen(key):
+    gamma, variant = key
+    for tau, want in zip(_TAUS, _S_LESS_FROZEN[key]):
+        assert s_less(tau, gamma, variant=variant) == pytest.approx(want, abs=1e-11)
+
+
+@pytest.mark.parametrize("key", sorted(_S_GREATER_FROZEN))
+def test_s_greater_frozen(key):
+    gamma, variant = key
+    # the printed variant's growing weights make its values, and the old
+    # double sum's rounding error, large: pinned relative there
+    tols = {"rel": 5e-9, "abs": 0.0} if variant == "printed" else {"abs": 1e-11}
+    for tau, want in zip(_TAUS, _S_GREATER_FROZEN[key]):
+        assert s_greater(tau, gamma, variant=variant) == pytest.approx(want, **tols)
+
+
+@pytest.mark.parametrize("key", sorted(_SERIES_FROZEN))
+def test_survival_series_frozen(key):
+    gamma, side = key
+    delta = math.sqrt(1.0 - gamma * gamma if side == "sub" else 1.0 + gamma * gamma)
+    for tau, want in zip(_TAUS, _SERIES_FROZEN[key]):
+        assert survival_series(delta, tau) == pytest.approx(want, abs=1e-11)
+
+
+@pytest.mark.parametrize(
+    "fn, delta, tau, kwargs, err, match",
+    [
+        (c0_closed_form, 1.00001, 30.0, {}, SeriesDivergenceError, "overflows"),
+        (c0_closed_form, 0.99, 4.0, {}, SeriesDivergenceError, r"~13\.\d digits.*survival_series"),
+        (c0_contour, 0.99, 4.0, {}, QuadratureError, "ill conditioned"),
+        # the printed pole's residue exp(tau (gamma - 1/gamma)) overflows
+        (c0_contour, 6.0, 200.0, {"pole_convention": "printed"}, QuadratureError, "overflows"),
+    ],
+)
+def test_ill_conditioned_inputs_raise_quickly(fn, delta, tau, kwargs, err, match):
+    t0 = time.perf_counter()
+    with pytest.raises(err, match=match):
+        fn(delta, tau, **kwargs)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(delta=st.floats(0.0, 6.0, exclude_min=True), tau=st.floats(0.0, 20.0))
+@example(delta=0.97, tau=4.0)  # guard threshold of the sub-critical closed form
+@example(delta=1.0 + 5e-7, tau=10.0)  # inside CRITICAL_WINDOW
+@example(delta=6.0, tau=4.0)  # survival_series cancels
+def test_evaluators_match_chain_or_raise(delta, tau):
+    oracle = propagation_c0(delta, [tau], n_sites=300)[0]
+    # within CRITICAL_WINDOW the closed form returns the delta = 1 branch,
+    # documented to be off by up to 1.4 |delta - 1|
+    off = abs(delta - 1.0)
+    cf_tol = 1e-8 + (1.4 * off if off < CRITICAL_WINDOW else 0.0)
+    for fn, tol in ((c0_closed_form, cf_tol), (survival_series, 1e-8), (c0_contour, 1e-8)):
+        try:
+            val = fn(delta, tau)
+        except (SeriesDivergenceError, QuadratureError, InvalidSpecError):
+            continue
+        assert abs(val - oracle) < tol, fn.__name__
 
 
 # --------------------------------------------------------------- bound states
