@@ -1,4 +1,11 @@
-"""Beam launch, eigenmode-expansion propagation, and per-guide intensity readout."""
+"""Beam launch, eigenmode-expansion propagation, and per-guide intensity readout.
+
+Propagation keeps modal amplitudes u_k(z) = a_k exp(i (2 pi / lambda) n_eff_k z)
+and builds fields only on demand.  The readout works on the amplitudes too:
+with phi_i the localized mode shifted to guide i and psi_k the basis fields,
+the coherent form is |sum_k u_k <phi_i|psi_k>|^2 and the printed form is
+Re(u^H Q_i u), Q_i[k, k'] = sum phi_i^2 conj(psi_k) psi_k' dA, each built once.
+"""
 
 from __future__ import annotations
 
@@ -33,6 +40,12 @@ def modal_coefficients(modes: ModeSet, field: Field) -> np.ndarray:
     return np.array([inner(m, field) for m in modes.modes])
 
 
+def _modal_amplitudes(modes: ModeSet, a: np.ndarray, z_cm: np.ndarray) -> np.ndarray:
+    """u[t, k] = a_k exp(i (2 pi / lambda) n_eff_k z_t), z in cm."""
+    k_prop = 2.0 * np.pi / modes.wavelength * modes.n_eff  # 1/um
+    return a * np.exp(1j * np.outer(z_cm * UM_PER_CM, k_prop))
+
+
 def propagate_eme(modes: ModeSet, input_field: Field, z_list_cm) -> list[Field]:
     """field(z) = sum_k a_k psi_k exp(i (2 pi / lambda) n_eff_k z).
 
@@ -42,15 +55,9 @@ def propagate_eme(modes: ModeSet, input_field: Field, z_list_cm) -> list[Field]:
     z_arr = np.atleast_1d(np.asarray(z_list_cm, dtype=float))
     if np.any(z_arr < 0):
         raise InvalidSpecError("z must be >= 0")
-    a = modal_coefficients(modes, input_field)
-    k_prop = 2.0 * np.pi / modes.wavelength * modes.n_eff  # 1/um
+    u = _modal_amplitudes(modes, modal_coefficients(modes, input_field), z_arr)
     stack = np.stack([m.values for m in modes.modes])
-    out = []
-    for z in z_arr:
-        phases = np.exp(1j * k_prop * z * UM_PER_CM)
-        vals = np.tensordot(a * phases, stack, axes=(0, 0))
-        out.append(Field(modes.grid, vals))
-    return out
+    return [Field(modes.grid, np.tensordot(row, stack, axes=(0, 0))) for row in u]
 
 
 def shift_mode(mode: Field, dx_um: float) -> Field:
@@ -65,6 +72,33 @@ def shift_mode(mode: Field, dx_um: float) -> Field:
     for j in range(g.ny):
         out[j] = np.interp(x - dx_um, x, mode.values[j], left=0.0, right=0.0)
     return Field(g, out)
+
+
+def _guide_intensities(
+    u: np.ndarray, basis: np.ndarray, localized_mode: Field, geom: WaveguideGeometry, coherent: bool
+) -> np.ndarray:
+    """Normalized per-guide intensities (T, G) of the fields u @ basis.
+
+    u holds modal amplitudes (T, K) over K basis fields (K, ny, nx) on the
+    localized mode's grid.  Raises DegenerateInputError for a row with no
+    overlap with any guide.
+    """
+    phi0 = localized_mode.normalized()
+    # the localized mode is solved centered at x = 0; shift to each guide
+    phi = np.stack([shift_mode(phi0, c).values.ravel() for c in geom.centers])
+    psi = basis.reshape(len(basis), -1)
+    area = localized_mode.grid.cell_area
+    if coherent:
+        raw = np.abs(u @ ((np.conj(phi) @ psi.T) * area).T) ** 2
+    else:
+        w = np.abs(phi) ** 2 * area
+        # Q[i, k, k'], one k at a time: no (K^2, P) temporary
+        Q = np.stack([(w * np.conj(p)) @ psi.T for p in psi], axis=1)
+        raw = np.einsum("tk,gkl,tl->tg", np.conj(u), Q, u).real
+    total = raw.sum(axis=1, keepdims=True)
+    if np.any(total == 0.0):
+        raise DegenerateInputError("field has no overlap with any guide")
+    return raw / total
 
 
 def extract_intensities(
@@ -83,22 +117,9 @@ def extract_intensities(
     """
     if field.grid != localized_mode.grid:
         raise InvalidSpecError("field and localized mode live on different grids")
-    if not np.any(field.values):
-        raise DegenerateInputError("cannot extract intensities from a zero field")
-    phi0 = localized_mode.normalized()
-    # the localized mode is solved centered at x = 0; shift to each guide
-    raw = np.empty(geom.n_guides)
-    area = field.grid.cell_area
-    for i, c in enumerate(geom.centers):
-        phi = shift_mode(phi0, c)
-        if coherent:
-            raw[i] = abs(inner(phi, field)) ** 2
-        else:
-            raw[i] = float(np.sum(np.abs(field.values * phi.values) ** 2) * area)
-    total = raw.sum()
-    if total == 0.0:
-        raise DegenerateInputError("field has no overlap with any guide")
-    return raw / total
+    return _guide_intensities(
+        np.ones((1, 1)), field.values[None], localized_mode, geom, coherent
+    )[0]
 
 
 def mode_fidelity(a: Field, b: Field) -> float:

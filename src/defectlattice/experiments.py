@@ -40,9 +40,10 @@ from .eme.modes import solve_modes
 from .eme.profile import RickerParams, WaveguideGeometry, array_profile, ricker_profile
 from .eme.propagate import (
     UM_PER_CM,
+    _guide_intensities,
+    _modal_amplitudes,
     gaussian_input,
     modal_coefficients,
-    shift_mode,
 )
 
 
@@ -161,31 +162,6 @@ class EmeRun:
     mode_count: int
 
 
-class _LocalizedBasis:
-    """Single-guide mode shifted to every guide center, cached for reuse."""
-
-    def __init__(self, config: EmeConfig, geom: WaveguideGeometry, grid: TransverseGrid):
-        single = solve_modes(
-            ricker_profile(config.ricker(), grid, (0.0, 0.0)), config.wavelength, 1
-        )
-        if single.n_modes < 1:
-            raise InvalidSpecError("isolated guide binds no mode at this configuration")
-        phi = single.modes[0]
-        self.n_eff = float(single.n_eff[0])
-        self.fields = [shift_mode(phi, c) for c in geom.centers]
-        self.phi = phi
-        self.grid = grid
-
-    def extract(self, field_values: np.ndarray, area: float, coherent: bool) -> np.ndarray:
-        raw = np.empty(len(self.fields))
-        for i, phi in enumerate(self.fields):
-            if coherent:
-                raw[i] = abs(np.sum(np.conj(phi.values) * field_values) * area) ** 2
-            else:
-                raw[i] = float(np.sum(np.abs(field_values * phi.values) ** 2) * area)
-        return raw / raw.sum()
-
-
 def run_eme(
     exp: ExperimentPreset,
     grid: TimeGrid,
@@ -202,24 +178,21 @@ def run_eme(
     profile = array_profile(config.ricker(), geom, tgrid)
     modes = solve_modes(profile, config.wavelength, exp.n_sites)
 
-    basis = _LocalizedBasis(config, geom, tgrid)
+    single = solve_modes(ricker_profile(config.ricker(), tgrid), config.wavelength, 1)
+    if single.n_modes < 1:
+        raise InvalidSpecError("isolated guide binds no mode at this configuration")
+    phi = single.modes[0]
     # launch waist matched to the isolated mode's second moments
-    I = basis.phi.values ** 2
+    I = phi.values ** 2
     X, Y = tgrid.mesh()
     area = tgrid.cell_area
     m2x = float(np.sum(I * X ** 2) * area)
     m2y = float(np.sum(I * Y ** 2) * area)
     inp = gaussian_input(geom, math.sqrt(2.0 * m2x), math.sqrt(2.0 * m2y), tgrid)
 
-    a = modal_coefficients(modes, inp)
-    k_prop = 2.0 * np.pi / modes.wavelength * modes.n_eff  # 1/um
+    u = _modal_amplitudes(modes, modal_coefficients(modes, inp), grid.tau / beta_fit)
     stack = np.stack([m.values for m in modes.modes])
-    probs = np.empty((len(grid), exp.n_sites))
-    for it, tau in enumerate(grid.tau):
-        z_um = tau / beta_fit * UM_PER_CM
-        coeff = a * np.exp(1j * k_prop * z_um)
-        fld = np.tensordot(coeff, stack, axes=(0, 0))
-        probs[it] = basis.extract(fld, area, coherent)
+    probs = _guide_intensities(u, stack, phi, geom, coherent)
     return EmeRun(grid.tau, probs, beta_fit, beta0_fit, beta0_fit / beta_fit, modes.n_modes)
 
 

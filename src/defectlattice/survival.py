@@ -61,9 +61,12 @@ import numpy as np
 from .bessel import bessel_j, bessel_j_array
 from .errors import InvalidSpecError, QuadratureError, SeriesDivergenceError
 
-#: below this distance from delta = 1 every evaluator routes to the
-#: critical branch (gamma -> 0 makes both correction series singular)
+#: below this distance from delta = 1 c0_contour refuses (gamma -> 0 drives
+#: its poles into the essential singularity at the origin)
 CRITICAL_WINDOW = 1e-6
+#: below this distance c0_closed_form returns the delta = 1 branch, off by at
+#: most 1.33 |delta - 1| <= 6.7e-9; past it S_< / S_> raise where they cancel
+_CLOSED_FORM_WINDOW = 5e-9
 
 #: documented accuracy of the Bessel series; a larger error bound raises
 SERIES_ACCURACY = 1e-8
@@ -277,7 +280,7 @@ def c0_closed_form(
     """Piecewise closed form for c0(tau), dispatching on the regime.
 
     delta < 1:  (A/2) exp(-Omega tau) + S_<(tau)
-    delta = 1:  J_1(2 tau)/tau            (also within 1e-6 of delta = 1)
+    delta = 1:  J_1(2 tau)/tau            (also within 5e-9 of delta = 1)
     delta > 1:  A cos(Omega tau) + S_>(tau)
 
     mode="reconciled" (default) applies the transcription repairs and
@@ -286,14 +289,14 @@ def c0_closed_form(
     c0(0) = 2).  The result is real for this model; it is returned as
     complex to keep the amplitude interface uniform.
 
-    Domain: reconciled values are within 1e-8 of the exact amplitude,
-    within ~1.4 |delta - 1| inside CRITICAL_WINDOW; near delta = 1, where A
-    cancels against the correction series, S_< / S_> raise
-    SeriesDivergenceError (survival_series covers that band).
+    Domain: reconciled values are within 1e-8 of the exact amplitude (the
+    delta = 1 branch, used within 5e-9 of it, is off by <= 6.7e-9); near
+    delta = 1, where A cancels against the correction series, S_< / S_>
+    raise SeriesDivergenceError (survival_series covers that band).
     """
     _check_variant(mode)
     params = regime_params(delta)
-    if abs(delta - 1.0) < CRITICAL_WINDOW:
+    if abs(delta - 1.0) < _CLOSED_FORM_WINDOW:
         return complex(c0_critical(tau))
     if delta < 1.0:
         val = params.amp / 2.0 * math.exp(-params.omega * tau) + s_less(

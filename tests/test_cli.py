@@ -125,12 +125,13 @@ def test_finite_size_onset_printed(tmp_path, capsys):
     assert 2.0 < float(printed) < 3.0  # onset of the N=10 deviation
 
 
-def test_eme_simulate_cli(tmp_path):
+@pytest.mark.parametrize("flags", [[], ["--coherent"]], ids=["printed", "coherent"])
+def test_eme_simulate_cli(tmp_path, flags):
     # coarsened transverse step keeps this an execution test, not a physics one
     out = tmp_path / "eme.csv"
     cal = tmp_path / "cal.json"
     rc = main(["eme-simulate", "--preset", "A2", "--steps", "5", "--tau-max", "2",
-               "--step", "0.8", "--out", str(out), "--calibration-out", str(cal)])
+               "--step", "0.8", "--out", str(out), "--calibration-out", str(cal), *flags])
     assert rc == 0
     header, rows = read_csv(str(out))
     assert header[:2] == ["tau", "z_cm"]

@@ -19,6 +19,7 @@ from defectlattice.eme import (
     shift_mode,
     solve_modes,
 )
+from defectlattice.eme.propagate import _guide_intensities, _modal_amplitudes
 
 LAM = 0.633
 N0 = 1.457
@@ -102,6 +103,22 @@ def test_extraction_rejects_zero_field(pair_system):
     grid, geom, _, phi = pair_system
     with pytest.raises(DegenerateInputError):
         extract_intensities(Field(grid, np.zeros((grid.ny, grid.nx))), phi, geom)
+
+
+@pytest.mark.parametrize("coherent", [False, True])
+def test_modal_readout_matches_field_readout(pair_system, coherent):
+    grid, geom, modes, phi = pair_system
+    inp = gaussian_input(geom, 3.0, 3.0, grid)
+    zs = np.array([0.0, 3.7, 11.0, 23.5])  # phases past 1e6 rad from z = 11 cm
+    stack = np.stack([m.values for m in modes.modes])
+    u = _modal_amplitudes(modes, modal_coefficients(modes, inp), zs)
+    modal = _guide_intensities(u, stack, phi, geom, coherent)
+    fields = np.array(
+        [extract_intensities(f, phi, geom, coherent) for f in propagate_eme(modes, inp, zs)]
+    )
+    assert np.max(np.abs(modal - fields)) < 1e-12
+    with pytest.raises(DegenerateInputError):
+        _guide_intensities(np.zeros((2, modes.n_modes)), stack, phi, geom, coherent)
 
 
 def test_fidelity_examples(pair_system):

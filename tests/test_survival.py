@@ -27,7 +27,6 @@ from defectlattice import (
     s_less,
     survival_series,
 )
-from defectlattice.survival import CRITICAL_WINDOW
 from helpers import J1_FIRST_ZERO, propagation_c0, series_j
 
 
@@ -332,6 +331,8 @@ def test_survival_series_frozen(key):
         (c0_contour, 0.99, 4.0, {}, QuadratureError, "ill conditioned"),
         # the printed pole's residue exp(tau (gamma - 1/gamma)) overflows
         (c0_contour, 6.0, 200.0, {"pole_convention": "printed"}, QuadratureError, "overflows"),
+        # past the closed form's delta = 1 window, inside the contour's
+        (c0_closed_form, 1.0 + 5e-7, 10.0, {}, SeriesDivergenceError, "overflows"),
     ],
 )
 def test_ill_conditioned_inputs_raise_quickly(fn, delta, tau, kwargs, err, match):
@@ -344,20 +345,17 @@ def test_ill_conditioned_inputs_raise_quickly(fn, delta, tau, kwargs, err, match
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(delta=st.floats(0.0, 6.0, exclude_min=True), tau=st.floats(0.0, 20.0))
 @example(delta=0.97, tau=4.0)  # guard threshold of the sub-critical closed form
-@example(delta=1.0 + 5e-7, tau=10.0)  # inside CRITICAL_WINDOW
+@example(delta=1.0 + 4e-9, tau=10.0)  # closed form returns the delta = 1 branch
+@example(delta=1.0 + 5e-7, tau=10.0)  # closed form raises, contour refuses
 @example(delta=6.0, tau=4.0)  # survival_series cancels
 def test_evaluators_match_chain_or_raise(delta, tau):
     oracle = propagation_c0(delta, [tau], n_sites=300)[0]
-    # within CRITICAL_WINDOW the closed form returns the delta = 1 branch,
-    # documented to be off by up to 1.4 |delta - 1|
-    off = abs(delta - 1.0)
-    cf_tol = 1e-8 + (1.4 * off if off < CRITICAL_WINDOW else 0.0)
-    for fn, tol in ((c0_closed_form, cf_tol), (survival_series, 1e-8), (c0_contour, 1e-8)):
+    for fn in (c0_closed_form, survival_series, c0_contour):
         try:
             val = fn(delta, tau)
         except (SeriesDivergenceError, QuadratureError, InvalidSpecError):
             continue
-        assert abs(val - oracle) < tol, fn.__name__
+        assert abs(val - oracle) < 1e-8, fn.__name__
 
 
 # --------------------------------------------------------------- bound states
