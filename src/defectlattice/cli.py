@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: closed-form, propagate, finite-size, eme-simulate,
-eme-reconstruct, eme-fit, compare, preset.  Each accepts --config FILE
-(JSON) whose keys mirror the long option names; explicit flags override
-config values, and unknown config keys are rejected.  Exit codes: 0 on
-success, 1 on domain errors, 2 on usage errors.
+eme-reconstruct, eme-fit, compare, preset.  Each accepts --config FILE, a
+JSON object whose keys are full long option names (``-`` or ``_``).  The
+keys are read as flags placed ahead of the command line's own, so a config
+value is type- and choice-checked like a flag and an explicit flag wins;
+``true`` sets a switch, ``false`` and ``null`` leave an option at its
+default.  Exit codes: 0 on success, 1 on domain errors, 2 on usage errors
+(unknown keys and bad values included).
 
 Units on the wire: tau = beta*z is dimensionless, couplings are 1/cm,
 transverse lengths and wavelengths are um, propagation distances cm.
@@ -13,8 +16,8 @@ transverse lengths and wavelengths are um, propagation distances cm.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,7 +31,7 @@ from .experiments import (
     preset_labels,
     run_eme,
 )
-from .finitesize import cumulative_deviation, deviation, onset_time
+from .finitesize import DEFAULT_N_REF, cumulative_deviation, deviation, onset_time
 from .lattice import (
     LatticeSpec,
     TimeGrid,
@@ -40,12 +43,12 @@ from .lattice import (
 )
 from .survival import c0_closed_form
 from .eme.grid import read_field, write_field, Field
-from .eme.reconstruct import fit_ricker, implied_n_eff, reconstruct_index
+from .eme.reconstruct import DEFAULT_FLOOR, fit_ricker, implied_n_eff, reconstruct_index
 from .svgplot import line_chart
-from .textio import write_csv
+from .textio import atomic_write, write_csv
 
-# ValueError covers the toolkit's invalid-input exceptions plus bad
-# numeric values arriving through config files
+# ValueError covers the toolkit's invalid-input exceptions and a malformed
+# --config file; option values are checked by argparse before any command runs
 _DOMAIN_ERRORS = (
     ValueError,
     TypeError,
@@ -59,51 +62,22 @@ _DOMAIN_ERRORS = (
 
 
 def _write_json(path: str, payload: dict) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill unset options from --config JSON; reject unknown keys."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        parser.error("--config must contain a JSON object")
-    known = {k for k in vars(args) if k not in ("config", "func")}
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            parser.error(f"unknown config key {key!r}")
-        if getattr(args, dest) is None:  # flags take precedence
-            setattr(args, dest, value)
-    return args
-
-
-def _defaults(args: argparse.Namespace, **pairs) -> None:
-    for dest, value in pairs.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
 
 
 def _tau_grid(tau_max: float, steps: int) -> TimeGrid:
     if steps < 2:
         raise errors.InvalidSpecError("steps must be >= 2")
-    return TimeGrid.uniform(float(tau_max), int(steps))
+    return TimeGrid.uniform(tau_max, steps)
 
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_closed_form(args, parser):
-    _defaults(args, tau_max=4.0, steps=400, mode="reconciled")
-    if args.delta is None or args.out is None:
-        parser.error("--delta and --out are required")
+def _cmd_closed_form(args):
     grid = _tau_grid(args.tau_max, args.steps)
-    c0 = np.array([c0_closed_form(float(args.delta), t, mode=args.mode) for t in grid.tau])
+    c0 = np.array([c0_closed_form(args.delta, t, mode=args.mode) for t in grid.tau])
     prob = np.abs(c0) ** 2
     rate = effective_decay_rate(prob, grid)
     rows = [
@@ -122,13 +96,10 @@ def _cmd_closed_form(args, parser):
     return 0
 
 
-def _cmd_propagate(args, parser):
+def _cmd_propagate(args):
     # the time axis is always the dimensionless tau = beta*z, so only the
     # site count and the coupling ratio enter
-    _defaults(args, tau_max=4.0, steps=400)
-    if args.sites is None or args.delta is None or args.out is None:
-        parser.error("--sites, --delta and --out are required")
-    spec = LatticeSpec(n_sites=int(args.sites), delta=float(args.delta))
+    spec = LatticeSpec(n_sites=args.sites, delta=args.delta)
     grid = _tau_grid(args.tau_max, args.steps)
     trace = propagate(build_hamiltonian(spec), initial_state(spec.n_sites), grid)
     probs = site_probabilities(trace)
@@ -146,22 +117,19 @@ def _cmd_propagate(args, parser):
     return 0
 
 
-def _cmd_finite_size(args, parser):
-    _defaults(args, ref_sites=600, tau_max=4.0, steps=400, threshold=None)
-    if args.sites is None or args.delta is None or args.out is None:
-        parser.error("--sites, --delta and --out are required")
+def _cmd_finite_size(args):
     grid = _tau_grid(args.tau_max, args.steps)
     ser = cumulative_deviation(
         deviation(
-            LatticeSpec(n_sites=int(args.sites), delta=float(args.delta)),
-            LatticeSpec(n_sites=int(args.ref_sites), delta=float(args.delta)),
+            LatticeSpec(n_sites=args.sites, delta=args.delta),
+            LatticeSpec(n_sites=args.ref_sites, delta=args.delta),
             grid,
         )
     )
     rows = [(grid.tau[i], ser.d_values[i], ser.c_values[i]) for i in range(len(grid))]
     write_csv(args.out, ["tau", "d_n", "c_n"], rows)
     if args.threshold is not None:
-        t = onset_time(ser, float(args.threshold))
+        t = onset_time(ser, args.threshold)
         print("" if t is None else format(t, ".17g"))
     if args.svg:
         line_chart(
@@ -179,24 +147,13 @@ def _cmd_finite_size(args, parser):
 
 
 def _eme_config_from(args) -> EmeConfig:
-    cfg = DEFAULT_EME_CONFIG
-    overrides = {}
-    for name in ("wavelength", "n0", "delta_n", "sigma_x", "sigma_y", "step", "margin"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = float(v)
-    if overrides:
-        cfg = EmeConfig(**{**cfg.__dict__, **overrides})
-    return cfg
+    return EmeConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(EmeConfig)})
 
 
-def _cmd_eme_simulate(args, parser):
-    _defaults(args, tau_max=4.0, steps=40)
-    if args.preset is None or args.out is None:
-        parser.error("--preset and --out are required")
+def _cmd_eme_simulate(args):
     exp = preset(args.preset)
-    grid = _tau_grid(min(float(args.tau_max), exp.tau_max), args.steps)
-    run = run_eme(exp, grid, _eme_config_from(args), coherent=bool(args.coherent))
+    grid = _tau_grid(min(args.tau_max, exp.tau_max), args.steps)
+    run = run_eme(exp, grid, _eme_config_from(args), coherent=args.coherent)
     header = ["tau", "z_cm"] + [f"c2_site_{i}" for i in range(exp.n_sites)]
     rows = [
         (grid.tau[i], grid.tau[i] / run.beta_fit, *run.site_probs[i])
@@ -217,27 +174,21 @@ def _cmd_eme_simulate(args, parser):
     return 0
 
 
-def _cmd_eme_reconstruct(args, parser):
-    _defaults(args, wavelength=0.633, n0=1.457, floor=0.05)
-    if args.mode_file is None or args.out is None:
-        parser.error("--mode-file and --out are required")
+def _cmd_eme_reconstruct(args):
     mode = read_field(args.mode_file)
     n_eff = args.n_eff
     if n_eff is None:
-        n_eff = implied_n_eff(mode.normalized(), float(args.wavelength), float(args.n0))
-    rec = reconstruct_index(mode.normalized(), float(n_eff), float(args.wavelength), float(args.floor))
+        n_eff = implied_n_eff(mode.normalized(), args.wavelength, args.n0)
+    rec = reconstruct_index(mode.normalized(), n_eff, args.wavelength, args.floor)
     write_field(args.out, Field(rec.grid, rec.n))
     if rec.negative_count:
         print(f"negative radicand at {rec.negative_count} points (masked)", file=sys.stderr)
     return 0
 
 
-def _cmd_eme_fit(args, parser):
-    _defaults(args, wavelength=0.633, n0=1.457, floor=0.05)
-    if args.mode_file is None or args.out is None:
-        parser.error("--mode-file and --out are required")
+def _cmd_eme_fit(args):
     mode = read_field(args.mode_file)
-    params, fidelity = fit_ricker(mode, float(args.wavelength), float(args.n0), float(args.floor))
+    params, fidelity = fit_ricker(mode, args.wavelength, args.n0, args.floor)
     _write_json(
         args.out,
         {
@@ -251,10 +202,7 @@ def _cmd_eme_fit(args, parser):
     return 0
 
 
-def _cmd_compare(args, parser):
-    _defaults(args, steps=401)
-    if args.preset is None or args.out is None:
-        parser.error("--preset and --out are required")
+def _cmd_compare(args):
     exp = preset(args.preset)
     grid = _tau_grid(exp.tau_max, args.steps)
     report = compare_models(exp, grid, _eme_config_from(args), include_eme=not args.skip_eme)
@@ -276,7 +224,7 @@ def _cmd_compare(args, parser):
     return 0
 
 
-def _cmd_preset(args, parser):
+def _cmd_preset(args):
     exp = preset(args.label)
     payload = {
         "label": exp.label,
@@ -298,106 +246,133 @@ def _cmd_preset(args, parser):
 
 # ---------------------------------------------------------------- wiring
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON file with option values (flags override)")
+def _add_tau_axis(p: argparse.ArgumentParser, steps: int):
+    p.add_argument("--tau-max", type=float, default=4.0)
+    p.add_argument("--steps", type=int, default=steps)
+
+
+def _add_eme_options(p: argparse.ArgumentParser):
+    for f in dataclasses.fields(EmeConfig):
+        default = getattr(DEFAULT_EME_CONFIG, f.name)
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=default)
+
+
+def _add_mode_image(p: argparse.ArgumentParser):
+    p.add_argument("--mode-file", required=True)
+    p.add_argument("--wavelength", type=float, default=DEFAULT_EME_CONFIG.wavelength)
+    p.add_argument("--n0", type=float, default=DEFAULT_EME_CONFIG.n0)
+    p.add_argument("--floor", type=float, default=DEFAULT_FLOOR)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defectlattice",
         description="Boundary-defect lattice dynamics and EME optics toolkit",
+        epilog="Every command also takes --config FILE, JSON option values that flags override.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("closed-form", help="survival amplitude c0(tau) to CSV")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--tau-max", type=float, dest="tau_max")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--mode", choices=["reconciled", "printed"])
-    p.add_argument("--out")
+    p.add_argument("--delta", type=float, required=True)
+    _add_tau_axis(p, steps=400)
+    p.add_argument("--mode", choices=["reconciled", "printed"], default="reconciled")
+    p.add_argument("--out", required=True)
     p.add_argument("--svg")
-    _add_common(p)
     p.set_defaults(func=_cmd_closed_form)
 
     p = sub.add_parser("propagate", help="finite-chain site probabilities to CSV")
-    p.add_argument("--sites", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--tau-max", type=float, dest="tau_max")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--out")
+    p.add_argument("--sites", type=int, required=True)
+    p.add_argument("--delta", type=float, required=True)
+    _add_tau_axis(p, steps=400)
+    p.add_argument("--out", required=True)
     p.add_argument("--svg")
-    _add_common(p)
     p.set_defaults(func=_cmd_propagate)
 
     p = sub.add_parser("finite-size", help="deviation D_N and C_N to CSV")
-    p.add_argument("--sites", type=int)
-    p.add_argument("--ref-sites", type=int, dest="ref_sites")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--tau-max", type=float, dest="tau_max")
-    p.add_argument("--steps", type=int)
+    p.add_argument("--sites", type=int, required=True)
+    p.add_argument("--ref-sites", type=int, default=DEFAULT_N_REF)
+    p.add_argument("--delta", type=float, required=True)
+    _add_tau_axis(p, steps=400)
     p.add_argument("--threshold", type=float, help="print onset time for this D_N threshold")
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
     p.add_argument("--svg")
-    _add_common(p)
     p.set_defaults(func=_cmd_finite_size)
 
     p = sub.add_parser("eme-simulate", help="EME per-guide intensity traces to CSV")
-    p.add_argument("--preset", choices=list(preset_labels()))
-    p.add_argument("--tau-max", type=float, dest="tau_max")
-    p.add_argument("--steps", type=int)
+    p.add_argument("--preset", choices=list(preset_labels()), required=True)
+    _add_tau_axis(p, steps=40)
     p.add_argument("--coherent", action="store_true")
-    p.add_argument("--calibration-out", dest="calibration_out")
-    for name in ("wavelength", "n0", "delta-n", "sigma-x", "sigma-y", "step", "margin"):
-        p.add_argument(f"--{name}", type=float, dest=name.replace("-", "_"))
-    p.add_argument("--out")
-    _add_common(p)
+    p.add_argument("--calibration-out")
+    _add_eme_options(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eme_simulate)
 
     p = sub.add_parser("eme-reconstruct", help="invert a mode image to an index map")
-    p.add_argument("--mode-file", dest="mode_file")
-    p.add_argument("--n-eff", type=float, dest="n_eff")
-    p.add_argument("--wavelength", type=float)
-    p.add_argument("--n0", type=float)
-    p.add_argument("--floor", type=float)
-    p.add_argument("--out")
-    _add_common(p)
+    _add_mode_image(p)
+    p.add_argument("--n-eff", type=float)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eme_reconstruct)
 
     p = sub.add_parser("eme-fit", help="fit guide parameters to a mode image")
-    p.add_argument("--mode-file", dest="mode_file")
-    p.add_argument("--wavelength", type=float)
-    p.add_argument("--n0", type=float)
-    p.add_argument("--floor", type=float)
-    p.add_argument("--out")
-    _add_common(p)
+    _add_mode_image(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eme_fit)
 
     p = sub.add_parser("compare", help="three-way model comparison report (JSON)")
-    p.add_argument("--preset", choices=list(preset_labels()))
-    p.add_argument("--steps", type=int)
-    p.add_argument("--skip-eme", action="store_true", dest="skip_eme")
-    for name in ("wavelength", "n0", "delta-n", "sigma-x", "sigma-y", "step", "margin"):
-        p.add_argument(f"--{name}", type=float, dest=name.replace("-", "_"))
-    p.add_argument("--out")
+    p.add_argument("--preset", choices=list(preset_labels()), required=True)
+    p.add_argument("--steps", type=int, default=401)
+    p.add_argument("--skip-eme", action="store_true")
+    _add_eme_options(p)
+    p.add_argument("--out", required=True)
     p.add_argument("--svg")
-    _add_common(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("preset", help="print a Table-style array preset")
     p.add_argument("label", choices=list(preset_labels()))
     p.add_argument("--json", action="store_true")
-    _add_common(p)
     p.set_defaults(func=_cmd_preset)
 
     return parser
 
 
+def _flag_value(value) -> str:
+    # an integral JSON number (400.0, 1e2) must still parse as an int option
+    return str(int(value)) if isinstance(value, float) and value.is_integer() else str(value)
+
+
+def _with_config(argv):
+    """(argv with --config FILE's keys as flags right after the subcommand, so
+    argparse's last-occurrence rule lets the user's flags win; the keys).
+    ``true`` is a bare switch, ``false``/``null`` add nothing, other values
+    become ``--key=value`` (so a value starting with ``-`` stays a value)."""
+    # without abbreviations a prefix of --config fails as unrecognized
+    pre = argparse.ArgumentParser(prog="defectlattice", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", metavar="FILE")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
+        return rest, []
+    with open(known.config, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        pre.error("--config must contain a JSON object")
+    flags = [
+        f"--{key.replace('_', '-')}" + ("" if value is True else f"={_flag_value(value)}")
+        for key, value in cfg.items()
+        if value is not False and value is not None
+    ]
+    return rest[:1] + flags + rest[1:], list(cfg)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, parser)
-        return args.func(args, parser)
+        argv, keys = _with_config(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        # full names only: as a flag prefix "delta" would be --delta-n in compare
+        unknown = [k for k in keys if k.replace("-", "_") not in vars(args)]
+        if unknown:
+            parser.error(f"unrecognized --config keys: {' '.join(unknown)}")
+        return args.func(args)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,13 +11,13 @@ round-trips IEEE doubles bit-exactly.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InvalidSpecError
+from ..textio import atomic_write
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,7 @@ def write_field(path: str, field: Field) -> None:
     if np.iscomplexobj(v):
         raise InvalidSpecError("field files store real values; write re/im separately")
     g = field.grid
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(
             f"# nx={g.nx} ny={g.ny} dx={g.dx:.17g} dy={g.dy:.17g} "
             f"x0={g.x0:.17g} y0={g.y0:.17g}\n"
@@ -112,7 +111,6 @@ def write_field(path: str, field: Field) -> None:
         for row in v:
             fh.write(" ".join(format(x, ".17g") for x in row))
             fh.write("\n")
-    os.replace(tmp, path)
 
 
 def read_field(path: str) -> Field:

@@ -340,7 +340,11 @@ def c0_contour(
     by exp(tau (1/r0 - r0)); one large circle past the poles would lose
     ~exp(tau(r - 1/r)) digits.  Domain: raises QuadratureError before the
     quadrature where eps times that bound exceeds CONTOUR_ACCURACY (near
-    delta = 1, and at large tau below it) or a residue overflows.
+    delta = 1, and at large tau below it) or a residue overflows, and during
+    it once the refinement difference stops shrinking while below the
+    grid's rounding floor eps * max|f z|.  Near delta = 1 that floor passes
+    CONTOUR_ACCURACY through the factor 1/(z^2 + 1 - delta^2) the bound
+    leaves out; where it stays below, the rule cannot fire before convergence.
     """
     if pole_convention not in ("printed", "reconciled"):
         raise InvalidSpecError(f"unknown pole convention {pole_convention!r}")
@@ -378,20 +382,30 @@ def c0_contour(
         raise QuadratureError(f"pole residue overflows at delta={delta}, tau={tau}") from None
 
     n = int(n_points_start)
-    prev = None
+    prev, diff = None, math.inf
     for _ in range(20):
         theta = 2.0 * np.pi * np.arange(n) / n
         z = r0 * np.exp(1j * theta)
         f = np.exp(1j * tau * (z + 1.0 / z)) * (z * z - 1.0) / (z * (z * z + quad_c))
-        val = complex(np.sum(f * z) / n)  # (1/2*pi*i) * closed integral
-        if prev is not None and abs(val - prev) < CONTOUR_ACCURACY:
-            return total + val
+        fz = f * z
+        val = complex(np.sum(fz) / n)  # (1/2*pi*i) * closed integral
+        if prev is not None:
+            last, diff = diff, abs(val - prev)
+            if diff < CONTOUR_ACCURACY:
+                return total + val
+            floor = _EPS * float(np.max(np.abs(fz)))
+            if last <= diff < floor:  # rounding noise that more points cannot lower
+                raise QuadratureError(
+                    f"origin quadrature stalls under its rounding floor {floor:.1e} "
+                    f"(delta={delta}, tau={tau}, n={n})",
+                    achieved=diff,
+                )
         prev = val
         n *= 2
     raise QuadratureError(
         f"origin quadrature did not converge after 20 doublings "
         f"(delta={delta}, tau={tau})",
-        achieved=abs(val - prev),
+        achieved=diff,
     )
 
 

@@ -8,9 +8,9 @@ with units.  Output is deterministic byte-for-byte for identical inputs.
 from __future__ import annotations
 
 import math
-import os
 
 from .errors import InvalidSpecError
+from .textio import atomic_write
 
 _COLORS = ["#1b6ca8", "#d94801", "#2a9d3a", "#a01a9e", "#7a5c00", "#444444"]
 
@@ -173,7 +173,5 @@ def line_chart(
             f'font-size="11">{name}</text>'
         )
     parts.append("</svg>")
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)

@@ -7,6 +7,7 @@ at 17 significant digits (bit-exact for IEEE doubles).  Missing values
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 
@@ -23,13 +24,26 @@ def format_value(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """UTF-8, LF text handle on a temp file that replaces ``path`` on success;
+    any exception removes the temp file and leaves ``path`` as it was."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    with atomic_write(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_value(v) for v in row) + "\n")
-    os.replace(tmp, path)
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[float | None]]]:

@@ -182,12 +182,61 @@ def test_config_file_merging(tmp_path):
     assert len(rows2) == 10
 
 
-def test_config_unknown_key_exits_2(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"delta": 1.0, "bogus": 3}))
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["closed-form", "--out", "x.csv"], {"delta": 1.0, "bogus": 3}),
+        (["closed-form", "--out", "x.csv"], {"delta": "abc"}),
+        (["closed-form", "--out", "x.csv"], {"delta": 1.0, "mode": "bogus"}),
+        (["closed-form", "--out", "x.csv"], {"delta": 1.0, "config": "x.json"}),
+        (["preset", "A3"], {"label": "A2"}),  # label is positional only
+        # prefixes of --delta-n and --tau-max: config keys are never abbreviations
+        (["compare", "--out", "x.csv"], {"preset": "A2", "delta": 1.05}),
+        (["closed-form", "--out", "x.csv"], {"delta": 1.0, "tau": 2}),
+    ],
+    ids=["unknown-key", "bad-type", "bad-choice", "config-key", "label-key",
+         "prefix-key", "prefix-key-unique"],
+)
+def test_config_unknown_key_exits_2(tmp_path, monkeypatch, argv, cfg):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     with pytest.raises(SystemExit) as exc:
-        main(["closed-form", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        main([*argv, "--config", "cfg.json"])
     assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_switch_and_required_options(tmp_path):
+    # a switch set to true and the required options, all from the config
+    out = tmp_path / "report.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "A2", "skip-eme": True, "steps": 11, "out": str(out)}))
+    assert main(["compare", "--config", str(cfg)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["models"]["eme"] is None
+    assert len(payload["tau"]) == 11
+
+
+def test_config_integral_number_for_int_option(tmp_path):
+    # JSON numbers 25.0 and 2e1 are integral, so they set integer options
+    out = tmp_path / "out.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"delta": 1.0, "steps": 25.0}))
+    assert main(["closed-form", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(read_csv(str(out))[1]) == 25
+    cfg.write_text('{"sites": 2e1, "delta": 0.5, "steps": 5}')
+    assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(read_csv(str(out))[0]) == 21
+
+
+def test_failed_write_leaves_no_files(tmp_path):
+    def rows():
+        yield (1.0, 2.0)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        write_csv(str(tmp_path / "a.csv"), ["a", "b"], rows())
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

@@ -333,6 +333,9 @@ def test_survival_series_frozen(key):
         (c0_contour, 6.0, 200.0, {"pole_convention": "printed"}, QuadratureError, "overflows"),
         # past the closed form's delta = 1 window, inside the contour's
         (c0_closed_form, 1.0 + 5e-7, 10.0, {}, SeriesDivergenceError, "overflows"),
+        # the refinement stalls under the rounding floor eps*max|f z| > 1e-10
+        (c0_contour, 0.999, 0.5, {}, QuadratureError, "rounding floor"),
+        (c0_contour, 0.999998, 0.01, {}, QuadratureError, "rounding floor"),
     ],
 )
 def test_ill_conditioned_inputs_raise_quickly(fn, delta, tau, kwargs, err, match):
