@@ -67,16 +67,21 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _tau_grid(tau_max: float, steps: int) -> TimeGrid:
+def _steps(text: str) -> int:
+    """``--steps`` value: an integer >= 2, the fewest points a tau grid takes."""
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if steps < 2:
-        raise errors.InvalidSpecError("steps must be >= 2")
-    return TimeGrid.uniform(tau_max, steps)
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {steps}")
+    return steps
 
 
 # ---------------------------------------------------------------- commands
 
 def _cmd_closed_form(args):
-    grid = _tau_grid(args.tau_max, args.steps)
+    grid = TimeGrid.uniform(args.tau_max, args.steps)
     c0 = np.array([c0_closed_form(args.delta, t, mode=args.mode) for t in grid.tau])
     prob = np.abs(c0) ** 2
     rate = effective_decay_rate(prob, grid)
@@ -100,7 +105,7 @@ def _cmd_propagate(args):
     # the time axis is always the dimensionless tau = beta*z, so only the
     # site count and the coupling ratio enter
     spec = LatticeSpec(n_sites=args.sites, delta=args.delta)
-    grid = _tau_grid(args.tau_max, args.steps)
+    grid = TimeGrid.uniform(args.tau_max, args.steps)
     trace = propagate(build_hamiltonian(spec), initial_state(spec.n_sites), grid)
     probs = site_probabilities(trace)
     header = ["tau"] + [f"prob_site_{i}" for i in range(spec.n_sites)]
@@ -118,7 +123,7 @@ def _cmd_propagate(args):
 
 
 def _cmd_finite_size(args):
-    grid = _tau_grid(args.tau_max, args.steps)
+    grid = TimeGrid.uniform(args.tau_max, args.steps)
     ser = cumulative_deviation(
         deviation(
             LatticeSpec(n_sites=args.sites, delta=args.delta),
@@ -152,7 +157,7 @@ def _eme_config_from(args) -> EmeConfig:
 
 def _cmd_eme_simulate(args):
     exp = preset(args.preset)
-    grid = _tau_grid(min(args.tau_max, exp.tau_max), args.steps)
+    grid = TimeGrid.uniform(min(args.tau_max, exp.tau_max), args.steps)
     run = run_eme(exp, grid, _eme_config_from(args), coherent=args.coherent)
     header = ["tau", "z_cm"] + [f"c2_site_{i}" for i in range(exp.n_sites)]
     rows = [
@@ -204,7 +209,7 @@ def _cmd_eme_fit(args):
 
 def _cmd_compare(args):
     exp = preset(args.preset)
-    grid = _tau_grid(exp.tau_max, args.steps)
+    grid = TimeGrid.uniform(exp.tau_max, args.steps)
     report = compare_models(exp, grid, _eme_config_from(args), include_eme=not args.skip_eme)
     _write_json(args.out, report.to_json_dict())
     if args.svg:
@@ -248,7 +253,7 @@ def _cmd_preset(args):
 
 def _add_tau_axis(p: argparse.ArgumentParser, steps: int):
     p.add_argument("--tau-max", type=float, default=4.0)
-    p.add_argument("--steps", type=int, default=steps)
+    p.add_argument("--steps", type=_steps, default=steps)
 
 
 def _add_eme_options(p: argparse.ArgumentParser):
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="three-way model comparison report (JSON)")
     p.add_argument("--preset", choices=list(preset_labels()), required=True)
-    p.add_argument("--steps", type=int, default=401)
+    p.add_argument("--steps", type=_steps, default=401)
     p.add_argument("--skip-eme", action="store_true")
     _add_eme_options(p)
     p.add_argument("--out", required=True)

@@ -140,14 +140,22 @@ def pair_splitting_beta(gap_um: float, config: EmeConfig = DEFAULT_EME_CONFIG) -
     """Coupling (1/cm) from the supermode splitting of two guides at gap_um.
 
     beta = pi * (n_eff+ - n_eff-) / lambda, converted from 1/um to 1/cm.
-    Cached: the same calibration is shared by every preset at the same gap.
+    Raises InvalidSpecError unless beta is finite and > 0: the EME time
+    axis is tau / beta.  Cached: the same calibration is shared by every
+    preset at the same gap.
     """
     geom = WaveguideGeometry.from_spacings(2, gap_um, gap_um)
     profile = array_profile(config.ricker(), geom, config.grid_for(geom))
     ms = solve_modes(profile, config.wavelength, 2)
     if ms.n_modes < 2:
         raise InvalidSpecError(f"two-guide system at gap {gap_um} um has < 2 bound modes")
-    return float(np.pi * (ms.n_eff[0] - ms.n_eff[1]) / config.wavelength * UM_PER_CM)
+    beta = float(np.pi * (ms.n_eff[0] - ms.n_eff[1]) / config.wavelength * UM_PER_CM)
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise InvalidSpecError(
+            f"two-guide supermode splitting at gap {gap_um} um gives coupling {beta:g}/cm; "
+            "the guides do not couple at this configuration"
+        )
+    return beta
 
 
 @dataclass(frozen=True)

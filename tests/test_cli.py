@@ -57,6 +57,27 @@ def test_domain_error_exits_1(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("steps", ["1", "0", "abc"])
+def test_steps_below_two_exits_2(tmp_path, capsys, steps):
+    out = tmp_path / "q.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["closed-form", "--delta", "1", "--out", str(out), "--steps", steps])
+    assert exc.value.code == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uncoupled_guides_exit_1(tmp_path, capsys):
+    # at dn = 1.05 the guides are so tight that the fitted coupling rounds
+    # to 0; coarse transverse step keeps the mode solves small
+    out = tmp_path / "r.json"
+    rc = main(["compare", "--preset", "A2", "--delta-n", "1.05", "--step", "2",
+               "--steps", "11", "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_closed_form_csv(tmp_path):
     out = tmp_path / "c0.csv"
     rc = main([
@@ -193,9 +214,10 @@ def test_config_file_merging(tmp_path):
         # prefixes of --delta-n and --tau-max: config keys are never abbreviations
         (["compare", "--out", "x.csv"], {"preset": "A2", "delta": 1.05}),
         (["closed-form", "--out", "x.csv"], {"delta": 1.0, "tau": 2}),
+        (["closed-form", "--out", "x.csv"], {"delta": 1.0, "steps": 1}),
     ],
     ids=["unknown-key", "bad-type", "bad-choice", "config-key", "label-key",
-         "prefix-key", "prefix-key-unique"],
+         "prefix-key", "prefix-key-unique", "steps-below-2"],
 )
 def test_config_unknown_key_exits_2(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)

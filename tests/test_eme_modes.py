@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
+import defectlattice.eme.modes as modes_module
 from defectlattice import GeometryError
 from defectlattice.eme import (
     RickerParams,
     TransverseGrid,
     WaveguideGeometry,
     array_profile,
+    helmholtz_matrix,
     ricker_profile,
     solve_modes,
 )
@@ -94,3 +97,78 @@ def test_grid_refinement_converges():
     fine = TransverseGrid.centered(130.0, 130.0, 0.125, 0.125)
     ne_half = solve_modes(ricker_profile(WEAK, fine), LAM, 1).n_eff[0]
     assert abs(ne_default - ne_half) < 1e-6
+
+
+def _reference(profile, k):
+    """Bound n_eff and unit-norm modes from a plain full-grid eigsh, descending."""
+    g = profile.grid
+    k0 = 2.0 * np.pi / LAM
+    sigma = k0 ** 2 * profile.n.max() ** 2 * (1.0 + 1e-9) + 1e-9
+    vals, vecs = eigsh(helmholtz_matrix(profile, LAM), k=k, sigma=sigma, which="LM", tol=1e-13)
+    order = np.argsort(vals)[::-1]
+    n_eff = np.sqrt(vals[order]) / k0
+    modes = [vecs[:, j].reshape(g.nx, g.ny).T for j in order]
+    modes = [m / np.sqrt(np.sum(m ** 2) * g.cell_area) for m in modes]
+    bound = n_eff > profile.n0
+    return n_eff[bound], [m for m, b in zip(modes, bound) if b]
+
+
+def _assert_matches_reference(ms, profile, k):
+    n_eff, ref = _reference(profile, k)
+    assert ms.n_modes == len(ref)
+    assert np.max(np.abs(ms.n_eff - n_eff)) < 1e-10
+    for mode, r in zip(ms.modes, ref):
+        r = r * np.sign(np.sum(mode.values * r))  # eigsh's sign is arbitrary
+        assert np.max(np.abs(mode.values - r)) < 1e-10
+
+
+@pytest.fixture
+def solved_sizes(monkeypatch):
+    """Unknown counts of the operators handed to eigsh during a test."""
+    sizes = []
+
+    def spy(A, *args, **kw):
+        sizes.append(A.shape[0])
+        return eigsh(A, *args, **kw)
+
+    monkeypatch.setattr(modes_module, "eigsh", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("height", [72.0, 72.5], ids=["odd-ny", "even-ny"])
+def test_mirror_half_matches_full_grid(height, solved_sizes):
+    # a desk-guide pair: both supermodes are even in y, so the y >= 0 half
+    # solves them and the inertia check passes
+    grid = TransverseGrid.centered(84.0, height, 0.5, 0.5)
+    profile = array_profile(DESK, WaveguideGeometry((-6.0, 6.0)), grid)
+    assert grid.ny % 2 == (1 if height == 72.0 else 0)
+    ms = solve_modes(profile, LAM, 2)
+    assert solved_sizes == [grid.nx * (grid.ny - grid.ny // 2)]
+    _assert_matches_reference(ms, profile, 2)
+    for mode in ms.modes:
+        v = mode.values
+        assert np.max(np.abs(v - v[::-1])) < 1e-10  # unfolded even in y
+        flat = v.ravel()  # sign: first sample at >= half the peak is positive
+        assert flat[np.argmax(np.abs(flat) >= 0.5 * np.abs(flat).max())] > 0
+
+
+def test_bound_odd_mode_falls_back_to_full_grid(solved_sizes):
+    # a guide elongated in y binds a y-odd second mode, which the even half
+    # cannot see; the inertia check must send the solve to the full grid
+    grid = TransverseGrid.centered(72.0, 120.0, 0.5, 0.5)
+    profile = ricker_profile(RickerParams(3e-3, 4.0, 14.0, N0), grid)
+    ms = solve_modes(profile, LAM, 3)
+    assert solved_sizes == [grid.nx * (grid.ny - grid.ny // 2), grid.nx * grid.ny]
+    _assert_matches_reference(ms, profile, 3)
+    assert ms.n_modes == 2
+    assert ms.n_eff[1] - N0 == pytest.approx(5.50e-4, abs=5e-6)
+    odd = ms.modes[1].values
+    assert np.max(np.abs(odd + odd[::-1])) < 1e-10
+
+
+def test_off_centre_guide_solves_on_full_grid(solved_sizes):
+    grid = TransverseGrid.centered(72.0, 72.0, 0.5, 0.5)
+    profile = ricker_profile(DESK, grid, center=(3.0, 5.25))
+    ms = solve_modes(profile, LAM, 1)
+    assert solved_sizes == [grid.nx * grid.ny]
+    _assert_matches_reference(ms, profile, 1)

@@ -20,7 +20,7 @@ from defectlattice import (
     run_eme,
     site_probabilities,
 )
-from defectlattice.experiments import ExperimentPreset
+from defectlattice.experiments import EmeConfig, ExperimentPreset, pair_splitting_beta
 
 
 def test_preset_values_exact():
@@ -39,6 +39,12 @@ def test_preset_values_exact():
 def test_unknown_preset():
     with pytest.raises(InvalidSpecError):
         preset("A4")
+
+
+def test_zero_coupling_raises():
+    # guides this tight give a supermode splitting that rounds to 0
+    with pytest.raises(InvalidSpecError, match="do not couple"):
+        pair_splitting_beta(27.1, EmeConfig(delta_n=1.05, step=2.0))
 
 
 def test_preset_consistency_enforced():
