@@ -6,8 +6,9 @@ JSON object whose keys are full long option names (``-`` or ``_``).  The
 keys are read as flags placed ahead of the command line's own, so a config
 value is type- and choice-checked like a flag and an explicit flag wins;
 ``true`` sets a switch, ``false`` and ``null`` leave an option at its
-default.  Exit codes: 0 on success, 1 on domain errors, 2 on usage errors
-(unknown keys and bad values included).
+default.  Flags, like keys, must name their option in full.  Exit codes: 0
+on success, 1 on domain errors, 2 on usage errors (unknown keys, flag
+prefixes and bad values included).
 
 Units on the wire: tau = beta*z is dimensionless, couplings are 1/cm,
 transverse lengths and wavelengths are um, propagation distances cm.
@@ -276,8 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Every command also takes --config FILE, JSON option values that flags override.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand takes full option names only: a unique prefix would
+    # silently set another option (`compare --delta 1.05` sets --delta-n)
 
-    p = sub.add_parser("closed-form", help="survival amplitude c0(tau) to CSV")
+    p = sub.add_parser("closed-form", help="survival amplitude c0(tau) to CSV", allow_abbrev=False)
     p.add_argument("--delta", type=float, required=True)
     _add_tau_axis(p, steps=400)
     p.add_argument("--mode", choices=["reconciled", "printed"], default="reconciled")
@@ -285,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg")
     p.set_defaults(func=_cmd_closed_form)
 
-    p = sub.add_parser("propagate", help="finite-chain site probabilities to CSV")
+    p = sub.add_parser("propagate", help="finite-chain site probabilities to CSV", allow_abbrev=False)
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     _add_tau_axis(p, steps=400)
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg")
     p.set_defaults(func=_cmd_propagate)
 
-    p = sub.add_parser("finite-size", help="deviation D_N and C_N to CSV")
+    p = sub.add_parser("finite-size", help="deviation D_N and C_N to CSV", allow_abbrev=False)
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--ref-sites", type=int, default=DEFAULT_N_REF)
     p.add_argument("--delta", type=float, required=True)
@@ -303,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg")
     p.set_defaults(func=_cmd_finite_size)
 
-    p = sub.add_parser("eme-simulate", help="EME per-guide intensity traces to CSV")
+    p = sub.add_parser("eme-simulate", help="EME per-guide intensity traces to CSV", allow_abbrev=False)
     p.add_argument("--preset", choices=list(preset_labels()), required=True)
     _add_tau_axis(p, steps=40)
     p.add_argument("--coherent", action="store_true")
@@ -312,18 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eme_simulate)
 
-    p = sub.add_parser("eme-reconstruct", help="invert a mode image to an index map")
+    p = sub.add_parser("eme-reconstruct", help="invert a mode image to an index map", allow_abbrev=False)
     _add_mode_image(p)
     p.add_argument("--n-eff", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eme_reconstruct)
 
-    p = sub.add_parser("eme-fit", help="fit guide parameters to a mode image")
+    p = sub.add_parser("eme-fit", help="fit guide parameters to a mode image", allow_abbrev=False)
     _add_mode_image(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eme_fit)
 
-    p = sub.add_parser("compare", help="three-way model comparison report (JSON)")
+    p = sub.add_parser("compare", help="three-way model comparison report (JSON)", allow_abbrev=False)
     p.add_argument("--preset", choices=list(preset_labels()), required=True)
     p.add_argument("--steps", type=_steps, default=401)
     p.add_argument("--skip-eme", action="store_true")
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("preset", help="print a Table-style array preset")
+    p = sub.add_parser("preset", help="print a Table-style array preset", allow_abbrev=False)
     p.add_argument("label", choices=list(preset_labels()))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_preset)
@@ -373,7 +376,7 @@ def main(argv=None) -> int:
         argv, keys = _with_config(argv)
         parser = build_parser()
         args = parser.parse_args(argv)
-        # full names only: as a flag prefix "delta" would be --delta-n in compare
+        # a key set to false or null adds no flag for argparse to reject
         unknown = [k for k in keys if k.replace("-", "_") not in vars(args)]
         if unknown:
             parser.error(f"unrecognized --config keys: {' '.join(unknown)}")

@@ -2,35 +2,49 @@
 
 Solves  [lap + k0^2 n(x,y)^2] psi = k^2 psi  on the grid (5-point stencil,
 Dirichlet boundary) and keeps the n_modes largest-k^2 pairs with
-n_eff = k/k0 above the substrate index.  The operator is attacked in
-shift-invert mode with the shift placed just above k0^2 max(n)^2 (an
-upper bound on the spectrum, since the Dirichlet Laplacian is negative
-definite), so the shifted operator is negative definite and is factored
-without pivoting in SuperLU's symmetric mode under George & Liu's
-minimum-degree ordering of A^T + A.  ARPACK's Lanczos iteration runs on
-that factorization with a subspace of max(20, 2k+1) vectors.  The start
-vector is the normalized all-ones vector, so repeated solves are
-bit-for-bit reproducible.
+n_eff = k/k0 above the substrate index.
 
-Mirror reduction.  The operator depends only on n, dx and dy, so when the
-index map equals its own y-flip the eigenvectors split into y-even and
-y-odd ones, and the even ones are the eigenvectors of the y >= 0 half
-with a symmetric boundary at the mirror (Fallahkhair, Li & Murphy, J.
-Lightwave Technol. 26, 1423, 2008).  For odd ny the mirror is a grid row
-whose even-parity coupling to the next row is 2/dy^2 one way and 1/dy^2
-the other; scaling that row by 1/sqrt(2) makes both sqrt(2)/dy^2 and keeps
-the half operator symmetric, and unfolding multiplies it back.  For even
-ny the mirror lies between two rows and the first kept row gets +1/dy^2
-on its diagonal (-1/dy^2 for odd parity).  The even half returns the
-full-grid answer unless some odd-in-y mode lies above
-t = max(k0^2 n0^2, smallest even eigenvalue returned).  That is checked
-by Sylvester's law of inertia: the odd half (Dirichlet at a mirror row,
--1/dy^2 otherwise) minus t is factored the same way, and a positive pivot
-in the symmetric LDL^T it yields, or a factorization that is not of that
-form, sends the solve back to the full grid.  For k = 1 no check is made:
-the operator's off-diagonal entries are non-negative and connect the
-whole grid, so by Perron-Frobenius its top eigenvector is positive and
-hence even.  Profiles that are not mirror-symmetric run on the full grid.
+Parity blocks.  The operator depends only on n, dx and dy, so on each axis
+where the index map equals its own flip the eigenvectors split into even
+and odd ones, and each parity is an eigenproblem on the half axis with a
+mirror boundary (Fallahkhair, Li & Murphy, J. Lightwave Technol. 26, 1423,
+2008).  A profile symmetric in x and y thus splits into four blocks on the
+quarter domain, one symmetric in y only into two on the half, and any
+other profile is a single block, the full grid.  Every block eigenvalue is
+a full-grid eigenvalue.  A block operator is the Kronecker sum of two 1-D
+second differences plus k0^2 n^2 on the block's part of the grid.  Each
+1-D difference is Dirichlet at the domain edge; at a mirror on a grid
+line the even block keeps that line, whose coupling to its neighbour is
+2/h^2 one way and 1/h^2 the other (scaling the line by 1/sqrt(2) makes
+both sqrt(2)/h^2 and the block symmetric), and the odd block starts past
+it, since the line is a node.  For a mirror between two lines, the first
+kept line gets +1/h^2 (even) or -1/h^2 (odd) on its diagonal.  Block
+eigenvectors unfold to full-grid modes by mirroring with the block's sign
+on each symmetric axis, after undoing the 1/sqrt(2) scaling.
+
+Which blocks are solved.  For k = 1 only the all-even block: the
+operator's off-diagonal entries are non-negative and connect the whole
+grid, so by Perron-Frobenius its top eigenvector is positive and hence
+even on every axis.  For k > 1 each block first counts its bound modes,
+the eigenvalues above k0^2 n0^2, by Sylvester's law of inertia: the block
+minus k0^2 n0^2 is factored as below, and the positive pivots of the
+symmetric LDL^T it yields are the count.  A factorization that is not of
+that form, or an exactly singular one, leaves the count unknown and k is
+used instead.  A block that is odd on an axis is not factored at all when
+the block that is even there instead binds nothing: both are parity
+halves of one sector (the other axis's parity fixed), whose top
+eigenvector is again positive and so even, hence the odd half tops out
+below the even half.  Each block is asked for min(count, k) pairs, and
+the merged pairs are cut to the top k, which are exactly the bound top k.
+
+Each block is solved by shift-invert Lanczos with the shift placed just
+above k0^2 max(n)^2 (an upper bound on the spectrum, since the Dirichlet
+Laplacian is negative definite), so the shifted operator is negative
+definite and is factored without pivoting in SuperLU's symmetric mode
+under George & Liu's minimum-degree ordering of A^T + A.  ARPACK's
+Lanczos iteration runs on that factorization with a subspace of
+max(20, 2k+1) vectors.  The start vector is the normalized all-ones
+vector, so repeated solves are bit-for-bit reproducible.
 
 Bound modes decay exponentially; rather than silently truncating them,
 any retained mode whose boundary amplitude exceeds 1e-6 of its peak
@@ -42,6 +56,7 @@ no tie between equal peaks (as in x-odd supermodes) can flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,32 +98,71 @@ class ModeSet:
         return (stack @ stack.T) * area
 
 
-def _stencil(
-    n: np.ndarray, dx: float, dy: float, k0: float,
-    first_diag: float = 0.0, first_coupling: float = 1.0,
-) -> sp.csc_matrix:
-    """5-point [lap + k0^2 n^2] on the rows of n (ny, nx), y-fast ordering.
+class _Side(NamedTuple):
+    """One block of an axis: the whole axis (parity 0), or the even (+1) or
+    odd (-1) half behind a mirror at its centre, kept from index ``start``.
+    ``diag`` is added to the first kept line's diagonal and ``coupling``
+    scales that line's coupling to the next; ``_WHOLE`` is Dirichlet."""
 
-    ``first_diag`` is added to the diagonal of the first row and
-    ``first_coupling`` scales its coupling to the second row (a mirror
-    boundary there); the defaults give a Dirichlet boundary.
-    """
+    parity: int
+    start: int
+    diag: float
+    coupling: float
+
+
+_WHOLE = _Side(0, 0, 0.0, 1.0)
+
+
+def _sides(size: int, h: float, symmetric: bool) -> list[_Side]:
+    """The blocks of one axis, the even one first."""
+    if not symmetric:
+        return [_WHOLE]
+    mid = size // 2
+    if size % 2:  # mirror on line `mid`
+        return [_Side(1, mid, 0.0, np.sqrt(2.0)), _Side(-1, mid + 1, 0.0, 1.0)]
+    return [_Side(1, mid, 1.0 / h ** 2, 1.0), _Side(-1, mid, -1.0 / h ** 2, 1.0)]
+
+
+def _second_difference(size: int, h: float, side: _Side) -> sp.dia_matrix:
+    """1-D second difference on the block's `size` points, Dirichlet past the far end."""
+    diag = np.full(size, -2.0 / h ** 2)
+    diag[0] += side.diag
+    off = np.full(size - 1, 1.0 / h ** 2)
+    off[0] *= side.coupling
+    return sp.diags([off, diag, off], [-1, 0, 1])
+
+
+def _operator(
+    profile: IndexProfile, k0: float, x: _Side = _WHOLE, y: _Side = _WHOLE
+) -> sp.csc_matrix:
+    """[lap + k0^2 n^2] on the (x, y) block of the profile, y-fast ordering."""
+    g, n = profile.grid, profile.n[y.start :, x.start :]
     ny, nx = n.shape
-    n_tot = nx * ny
     # unknown index = ix*ny + iy keeps the small dimension contiguous
-    diag = (-2.0 / dx ** 2 - 2.0 / dy ** 2) + k0 ** 2 * (n.T.ravel()) ** 2
-    diag[::ny] += first_diag
-    off_y = np.full(n_tot - 1, 1.0 / dy ** 2)
-    off_y[ny - 1 :: ny] = 0.0  # no coupling across column ends
-    off_y[::ny] *= first_coupling
-    off_x = np.full(n_tot - ny, 1.0 / dx ** 2)
-    return sp.diags([diag, off_y, off_y, off_x, off_x], [0, 1, -1, ny, -ny], format="csc")
+    lap = sp.kronsum(
+        _second_difference(ny, g.dy, y), _second_difference(nx, g.dx, x), format="csc"
+    )
+    return lap + sp.diags(k0 ** 2 * n.T.ravel() ** 2, format="csc")
 
 
 def helmholtz_matrix(profile: IndexProfile, wavelength: float) -> sp.csc_matrix:
     """Sparse 5-point [lap + k0^2 n^2] with Dirichlet boundary, y-fast ordering."""
-    g = profile.grid
-    return _stencil(profile.n, g.dx, g.dy, 2.0 * np.pi / wavelength)
+    return _operator(profile, 2.0 * np.pi / wavelength)
+
+
+def _unfold(v: np.ndarray, axis: int, size: int, side: _Side) -> np.ndarray:
+    """Block vectors v mirrored along `axis` back onto all `size` points."""
+    if side.parity == 0:
+        return v
+    shape = list(v.shape)
+    shape[axis] = size
+    full = np.zeros(shape)
+    f = np.moveaxis(full, axis, 0)
+    f[side.start :] = np.moveaxis(v, axis, 0)
+    f[side.start] *= side.coupling  # sqrt(2) on an even mirror line, else 1
+    mid = size // 2
+    f[:mid] = side.parity * np.flip(f[size - mid :], 0)
+    return full
 
 
 def _factor(A: sp.csc_matrix, shift: float):
@@ -119,6 +173,18 @@ def _factor(A: sp.csc_matrix, shift: float):
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
+
+
+def _count_above(A: sp.csc_matrix, t: float, unknown: int) -> int:
+    """Eigenvalues of A above t, from the LDL^T inertia of A - t*I; `unknown`
+    when the factorization cannot tell."""
+    try:
+        lu = _factor(A, t)
+    except RuntimeError:  # exactly singular: t is an eigenvalue
+        return unknown
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return unknown  # not a symmetric factorization
+    return int(np.count_nonzero(lu.U.diagonal() > 0.0))
 
 
 def _top_eigenpairs(A: sp.csc_matrix, sigma: float, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,46 +204,34 @@ def _top_eigenpairs(A: sp.csc_matrix, sigma: float, k: int) -> tuple[np.ndarray,
     )
 
 
-def _has_eigenvalue_above(A: sp.csc_matrix, t: float) -> bool:
-    """True unless the LDL^T inertia of A - t*I shows no eigenvalue above t."""
-    try:
-        lu = _factor(A, t)
-    except RuntimeError:  # exactly singular: t is an eigenvalue
-        return True
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return True  # not a symmetric factorization: inertia unknown
-    return bool(np.any(lu.U.diagonal() > 0.0))
-
-
-def _mirror_modes(
+def _block_eigenpairs(
     profile: IndexProfile, k0: float, sigma: float, k: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Top-k eigenpairs from the y >= 0 half as (values, (k, ny, nx) vectors).
-
-    None when the half cannot deliver k pairs or an odd-in-y mode could
-    displace a returned one (see the module docstring).
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs from the parity blocks as (values, (m, ny, nx) full-grid
+    vectors); they include the top k (see the module docstring)."""
     g, n = profile.grid, profile.n
-    mid, on_row = g.ny // 2, g.ny % 2 == 1  # mirror on row `mid`, else between mid-1 and mid
-    if on_row:
-        even = _stencil(n[mid:], g.dx, g.dy, k0, first_coupling=np.sqrt(2.0))
-    else:
-        even = _stencil(n[mid:], g.dx, g.dy, k0, first_diag=1.0 / g.dy ** 2)
-    if k > even.shape[0] - 2:
-        return None
-    vals, vecs = _top_eigenpairs(even, sigma, k)
-    if k > 1:
-        if on_row:
-            odd = _stencil(n[mid + 1 :], g.dx, g.dy, k0)
-        else:
-            odd = _stencil(n[mid:], g.dx, g.dy, k0, first_diag=-1.0 / g.dy ** 2)
-        if _has_eigenvalue_above(odd, max(k0 ** 2 * profile.n0 ** 2, float(vals.min()))):
-            return None
-    half = vecs.T.reshape(k, g.nx, g.ny - mid).transpose(0, 2, 1)
-    if on_row:
-        half[:, 0] *= np.sqrt(2.0)
-        return vals, np.concatenate([half[:, :0:-1], half], axis=1)
-    return vals, np.concatenate([half[:, ::-1], half], axis=1)
+    xs = _sides(g.nx, g.dx, np.array_equal(n, n[:, ::-1]))
+    ys = _sides(g.ny, g.dy, np.array_equal(n, n[::-1]))
+    blocks = [(x, y) for y in ys for x in xs]
+    if k == 1:
+        blocks = blocks[:1]  # all-even: holds the top mode (Perron-Frobenius)
+    t = k0 ** 2 * profile.n0 ** 2
+    counts = {}
+    vals, fields = [np.empty(0)], [np.empty((0, g.ny, g.nx))]
+    for x, y in blocks:
+        if any(counts.get(b) == 0 for b in ((xs[0], y), (x, ys[0]))):
+            counts[x, y] = 0  # tops out below a block that binds nothing
+            continue
+        A = _operator(profile, k0, x, y)
+        counts[x, y] = 1 if k == 1 else _count_above(A, t, unknown=k)
+        want = min(counts[x, y], k, A.shape[0] - 2)
+        if want < 1:
+            continue
+        w, v = _top_eigenpairs(A, sigma, want)
+        block = v.T.reshape(want, g.nx - x.start, g.ny - y.start).transpose(0, 2, 1)
+        vals.append(w)
+        fields.append(_unfold(_unfold(block, 1, g.ny, y), 2, g.nx, x))
+    return np.concatenate(vals), np.concatenate(fields)
 
 
 def solve_modes(
@@ -199,18 +253,13 @@ def solve_modes(
     sigma = k0 ** 2 * float(profile.n.max()) ** 2 * (1.0 + 1e-9) + 1e-9
 
     try:
-        found = None
-        if np.array_equal(profile.n, profile.n[::-1]):
-            found = _mirror_modes(profile, k0, sigma, k)
-        if found is None:
-            vals, vecs = _top_eigenpairs(helmholtz_matrix(profile, wavelength), sigma, k)
-            found = vals, vecs.T.reshape(k, g.nx, g.ny).transpose(0, 2, 1)
+        vals, fields = _block_eigenpairs(profile, k0, sigma, k)
     except (ArpackError, ArpackNoConvergence, RuntimeError) as exc:
         raise EigensolverError(f"mode solve failed on {g.nx}x{g.ny} grid: {exc}") from exc
-    vals, fields = found
 
     n_eff = np.sqrt(np.maximum(vals, 0.0)) / k0
-    order = [j for j in np.argsort(vals)[::-1] if n_eff[j] > profile.n0]  # bound, descending
+    top = np.argsort(vals)[::-1][:k]
+    order = [j for j in top if n_eff[j] > profile.n0]  # bound, descending
     n_eff = n_eff[order]
 
     modes = []

@@ -76,14 +76,20 @@ class WaveguideGeometry:
 
     @staticmethod
     def from_spacings(n_guides: int, d0: float, d: float, center: float = 0.0) -> "WaveguideGeometry":
-        """n_guides centers with first gap d0 and bulk gap d, centered at `center`."""
+        """n_guides centers with first gap d0 and bulk gap d, centered at `center`.
+
+        Offsets from the middle are exact half-integer multiples of d, and
+        the first gap's excess d0 - d is split evenly between the first
+        guide and the rest, so with d0 == d and center 0 the centers are
+        exact negatives of each other.
+        """
         if n_guides < 1:
             raise InvalidSpecError("n_guides must be >= 1")
-        pos = [0.0]
-        for i in range(1, n_guides):
-            pos.append(pos[-1] + (d0 if i == 1 else d))
-        mid = (pos[0] + pos[-1]) / 2.0
-        return WaveguideGeometry(tuple(p - mid + center for p in pos))
+        half_excess = (d0 - d) / 2.0 if n_guides > 1 else 0.0
+        return WaveguideGeometry(tuple(
+            (i - (n_guides - 1) / 2.0) * d + (half_excess if i else -half_excess) + center
+            for i in range(n_guides)
+        ))
 
 
 def _ricker_increment(p: RickerParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -114,6 +120,12 @@ def array_profile(p: RickerParams, geom: WaveguideGeometry, grid: TransverseGrid
             )
     X, Y = grid.mesh()
     n = np.full_like(X, p.n0)
-    for c in geom.centers:
-        n += _ricker_increment(p, X - c, Y)
+    # add guides in pairs from the outside in, so that a mirror-symmetric
+    # geometry on a symmetric grid gives an index map equal to its flip
+    c = geom.centers
+    for i in range((len(c) + 1) // 2):
+        pair = _ricker_increment(p, X - c[i], Y)
+        if i != len(c) - 1 - i:
+            pair = pair + _ricker_increment(p, X - c[-1 - i], Y)
+        n += pair
     return IndexProfile(grid, n, p.n0)

@@ -15,11 +15,13 @@ the distances between the index minima and the central maximum (coarse
 search on 3-point-moving-average axis cuts, sub-grid refinement on a
 cubic spline through the raw cut -- the minima locations do not depend on
 the assumed n_eff, which only offsets n^2 by a constant), then the peak
-contrast is fit by golden-section maximization of the fidelity between
-the measured mode and the candidate profile's fundamental mode.  For a
-measured image no eigenvalue is available, so n_eff is anchored by
-requiring the dimmest retained ring of the image, where the guide's
-index increment has already decayed, to reconstruct to the substrate n0.
+contrast is fit by maximizing the fidelity between the measured mode and
+the candidate profile's fundamental mode with Brent's bounded method
+(parabolic steps, golden-section fallback) on 0.3 to 3 times the
+reconstructed contrast.  For a measured image no eigenvalue is available,
+so n_eff is anchored by requiring the dimmest retained ring of the image,
+where the guide's index increment has already decayed, to reconstruct to
+the substrate n0.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .propagate import mode_fidelity
 #: default inversion mask: keep points with psi > 5% of the peak
 DEFAULT_FLOOR = 0.05
 
-#: golden-section relative tolerance on the fitted contrast
+#: Brent-search tolerance on the fitted contrast, relative to its estimate
 _FIT_REL_TOL = 1e-4
 
 #: half-width (in samples) of the raw-cut window used for sub-grid
@@ -254,28 +256,13 @@ def fit_ricker(
 
     # wide bracket: under noise the reconstructed peak can be off by tens
     # of percent, and fidelity is unimodal in the contrast anyway
-    best_dn, best_fid = _golden_max(fidelity_of, 0.3 * dn_est, 3.0 * dn_est, _FIT_REL_TOL)
+    res = minimize_scalar(
+        lambda dn: -fidelity_of(dn),
+        bounds=(0.3 * dn_est, 3.0 * dn_est),
+        method="bounded",
+        options={"xatol": _FIT_REL_TOL * dn_est},
+    )
+    best_dn, best_fid = float(res.x), -float(res.fun)
     if best_fid < 0.5:
         raise FitFailureError(f"fit fidelity {best_fid:.3f} below 0.5")
     return RickerParams(best_dn, sigma_x, sigma_y, n0), best_fid
-
-
-def _golden_max(fn, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] to relative x-tolerance."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    if fc > fd:
-        return c, fc
-    return d, fd

@@ -41,6 +41,23 @@ def test_unknown_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--preset", "A2", "--delta", "1.05"],  # unique prefix of --delta-n
+        ["closed-form", "--delta", "1", "--tau", "2"],  # unique prefix of --tau-max
+    ],
+    ids=["compare-delta", "closed-form-tau"],
+)
+def test_flag_prefix_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

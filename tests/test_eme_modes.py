@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu
 
 import defectlattice.eme.modes as modes_module
 from defectlattice import GeometryError
@@ -135,35 +135,93 @@ def solved_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def factored_sizes(monkeypatch):
+    """Unknown counts of the matrices handed to splu during a test."""
+    sizes = []
+
+    def spy(A, *args, **kw):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kw)
+
+    monkeypatch.setattr(modes_module, "splu", spy)
+    return sizes
+
+
+def _block_size(grid, x_parity, y_parity):
+    """Unknowns of a quarter-domain parity block: even halves keep a mirror line."""
+    def half(size, parity):
+        return (size + 1) // 2 if parity > 0 else size // 2
+
+    return half(grid.nx, x_parity) * half(grid.ny, y_parity)
+
+
 @pytest.mark.parametrize("height", [72.0, 72.5], ids=["odd-ny", "even-ny"])
-def test_mirror_half_matches_full_grid(height, solved_sizes):
-    # a desk-guide pair: both supermodes are even in y, so the y >= 0 half
-    # solves them and the inertia check passes
+def test_mirror_half_matches_full_grid(height, solved_sizes, factored_sizes):
+    # a desk-guide pair: both supermodes are even in y, so only the x-even
+    # and x-odd quarters are solved; the x-even, y-odd quarter counts no
+    # bound mode, so the x-odd, y-odd one is not even factored
     grid = TransverseGrid.centered(84.0, height, 0.5, 0.5)
     profile = array_profile(DESK, WaveguideGeometry((-6.0, 6.0)), grid)
     assert grid.ny % 2 == (1 if height == 72.0 else 0)
     ms = solve_modes(profile, LAM, 2)
-    assert solved_sizes == [grid.nx * (grid.ny - grid.ny // 2)]
+    ee, oe, eo = _block_size(grid, 1, 1), _block_size(grid, -1, 1), _block_size(grid, 1, -1)
+    assert solved_sizes == [ee, oe]
+    assert factored_sizes == [ee, ee, oe, oe, eo]  # count, then solve
     _assert_matches_reference(ms, profile, 2)
     for mode in ms.modes:
         v = mode.values
         assert np.max(np.abs(v - v[::-1])) < 1e-10  # unfolded even in y
         flat = v.ravel()  # sign: first sample at >= half the peak is positive
         assert flat[np.argmax(np.abs(flat) >= 0.5 * np.abs(flat).max())] > 0
+    sym, asym = ms.modes[0].values, ms.modes[1].values
+    assert np.array_equal(sym, sym[:, ::-1])
+    assert np.array_equal(asym, -asym[:, ::-1])
 
 
-def test_bound_odd_mode_falls_back_to_full_grid(solved_sizes):
-    # a guide elongated in y binds a y-odd second mode, which the even half
-    # cannot see; the inertia check must send the solve to the full grid
+def test_bound_y_odd_mode_solved_in_its_block(solved_sizes):
+    # a guide elongated in y binds a y-odd second mode; the inertia count
+    # finds it in the x-even, y-odd block, which is solved next to the
+    # all-even one
     grid = TransverseGrid.centered(72.0, 120.0, 0.5, 0.5)
     profile = ricker_profile(RickerParams(3e-3, 4.0, 14.0, N0), grid)
     ms = solve_modes(profile, LAM, 3)
-    assert solved_sizes == [grid.nx * (grid.ny - grid.ny // 2), grid.nx * grid.ny]
+    assert solved_sizes == [_block_size(grid, 1, 1), _block_size(grid, 1, -1)]
     _assert_matches_reference(ms, profile, 3)
     assert ms.n_modes == 2
     assert ms.n_eff[1] - N0 == pytest.approx(5.50e-4, abs=5e-6)
     odd = ms.modes[1].values
     assert np.max(np.abs(odd + odd[::-1])) < 1e-10
+
+
+SINGLE = WaveguideGeometry((0.0,))
+TRIO = WaveguideGeometry((-7.0, 0.0, 7.0))  # the middle guide sits on the x mirror
+
+
+@pytest.mark.parametrize(
+    "width, height, params, geom, k, n_bound, blocks",
+    [
+        # x-elongated guide: a bound x-odd second mode, k above the bound count
+        (120.0, 72.0, RickerParams(3e-3, 14.0, 4.0, N0), SINGLE, 3, 2, [(1, 1), (-1, 1)]),
+        # odd nx: k below the bound count, so the blocks' pairs are merged and cut
+        (86.0, 72.0, DESK, TRIO, 2, 2, [(1, 1), (-1, 1)]),
+        (86.0, 72.0, DESK, TRIO, 4, 3, [(1, 1), (-1, 1)]),
+        # even nx and even ny: mirrors between grid lines
+        (86.5, 72.5, DESK, TRIO, 4, 3, [(1, 1), (-1, 1)]),
+        # k = 1 solves the all-even block alone
+        (72.0, 72.0, DESK, SINGLE, 1, 1, [(1, 1)]),
+    ],
+    ids=["x-odd-bound", "trio-k-below", "trio-k-above", "trio-even-nx-ny", "single-k1"],
+)
+def test_parity_blocks_match_full_grid(
+    width, height, params, geom, k, n_bound, blocks, solved_sizes
+):
+    grid = TransverseGrid.centered(width, height, 0.5, 0.5)
+    profile = array_profile(params, geom, grid)
+    ms = solve_modes(profile, LAM, k)
+    assert solved_sizes == [_block_size(grid, px, py) for px, py in blocks]
+    assert ms.n_modes == n_bound
+    _assert_matches_reference(ms, profile, k)
 
 
 def test_off_centre_guide_solves_on_full_grid(solved_sizes):

@@ -1,11 +1,12 @@
 """Ricker index landscapes and array geometry."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from defectlattice import GeometryError, InvalidSpecError
+from defectlattice import GeometryError, InvalidSpecError, preset
 from defectlattice.eme import (
     RickerParams,
     TransverseGrid,
@@ -13,6 +14,7 @@ from defectlattice.eme import (
     array_profile,
     ricker_profile,
 )
+from defectlattice.experiments import DEFAULT_EME_CONFIG
 
 P = RickerParams(3e-3, 4.0, 4.0, 1.457)
 
@@ -54,6 +56,22 @@ def test_geometry_spacings():
     assert np.mean([geom.centers[0], geom.centers[-1]]) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(InvalidSpecError):
         WaveguideGeometry((0.0, -1.0))
+
+
+@pytest.mark.parametrize("n_guides", [2, 3, 10])
+def test_uniform_spacings_are_exactly_antisymmetric(n_guides):
+    c = np.array(WaveguideGeometry.from_spacings(n_guides, 27.1, 27.1).centers)
+    assert np.array_equal(c, -c[::-1])
+
+
+@pytest.mark.parametrize("step", [0.5, 1.25])
+def test_a2_profile_equals_its_x_flip(step):
+    # the mode solver splits x parities only for an exactly symmetric map
+    exp = preset("A2")
+    config = dataclasses.replace(DEFAULT_EME_CONFIG, step=step)
+    geom = WaveguideGeometry.from_spacings(exp.n_sites, exp.d0, exp.d)
+    prof = array_profile(config.ricker(), geom, config.grid_for(geom))
+    assert np.array_equal(prof.n, prof.n[:, ::-1])
 
 
 def test_single_guide_array_equals_ricker():
