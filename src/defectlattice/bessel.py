@@ -48,10 +48,10 @@ def bessel_j_array(l_max: int, x: float) -> np.ndarray:
     if x >= X_MAX:
         raise InvalidSpecError(f"argument {x} outside supported domain |x| < {X_MAX:g}")
 
-    if x == 0.0:
-        out = np.zeros(l_max + 1)
-        out[0] = 1.0
-        return out
+    if x < 1e-8:
+        # the leading series term (x/2)^l / l! is exact to rounding here, while
+        # the recurrence's per-order growth 2l/x overflows past its rescaling
+        return np.cumprod(np.concatenate(([1.0], 0.5 * x / np.arange(1, l_max + 1))))
 
     m = _start_order(l_max, x)
     out = np.zeros(l_max + 1)

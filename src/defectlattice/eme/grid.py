@@ -20,6 +20,12 @@ from ..errors import InvalidSpecError
 from ..textio import atomic_write
 
 
+def _axis(first: float, step: float, n: int) -> np.ndarray:
+    """first + step*j as centre + step*(j - (n-1)/2): mirror-exact about a 0 centre."""
+    half = (n - 1) / 2.0
+    return (first + step * half) + step * (np.arange(n) - half)
+
+
 @dataclass(frozen=True)
 class TransverseGrid:
     """Uniform x-y grid (micrometers); x0, y0 locate the first sample."""
@@ -39,11 +45,11 @@ class TransverseGrid:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.nx)
+        return _axis(self.x0, self.dx, self.nx)
 
     @property
     def y(self) -> np.ndarray:
-        return self.y0 + self.dy * np.arange(self.ny)
+        return _axis(self.y0, self.dy, self.ny)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x, self.y)

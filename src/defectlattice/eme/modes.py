@@ -67,7 +67,6 @@ from .grid import Field, TransverseGrid
 from .profile import IndexProfile
 
 EDGE_DECAY = 1e-6
-ORTHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,8 @@ tau = beta*z with beta = 1:
 * the piecewise closed forms (exponential/oscillatory leading term plus
   Bessel correction series), in both a ``printed`` and a ``reconciled``
   variant -- see below;
-* the contour-integral representation, evaluated as two analytic pole
-  residues plus a small-circle trapezoid quadrature around the essential
-  singularity at the origin;
+* the contour-integral representation, evaluated as a trapezoid
+  quadrature on the unit circle plus the residues of the poles outside it;
 * :func:`survival_series`, a single resummed Bessel series
 
       c0(tau) = J_0(2 tau) + sum_{k>=1} (c^k + c^{k-1}) J_{2k}(2 tau),
@@ -22,8 +21,10 @@ The three Bessel series are weight arrays for one kernel,
 return to within SERIES_ACCURACY = 1e-8 and raise SeriesDivergenceError
 where cancellation would lose more -- at tau <= 4 the closed form for
 delta in about [0.970, 1.028], survival_series for delta >~ 4.9, both
-wider at larger tau.  :func:`c0_contour` returns to ~1e-10 and raises
-QuadratureError where its quadrature is ill conditioned.
+wider at larger tau.  :func:`c0_contour` returns to ~1e-10 for every
+delta > 0 and tau >= 0, delta = 1 included; it raises QuadratureError where
+a pole residue overflows (the printed poles at large delta and tau) or the
+quadrature does not converge.
 
 printed vs reconciled
 ---------------------
@@ -61,16 +62,13 @@ import numpy as np
 from .bessel import bessel_j, bessel_j_array
 from .errors import InvalidSpecError, QuadratureError, SeriesDivergenceError
 
-#: below this distance from delta = 1 c0_contour refuses (gamma -> 0 drives
-#: its poles into the essential singularity at the origin)
-CRITICAL_WINDOW = 1e-6
 #: below this distance c0_closed_form returns the delta = 1 branch, off by at
 #: most 1.33 |delta - 1| <= 6.7e-9; past it S_< / S_> raise where they cancel
 _CLOSED_FORM_WINDOW = 5e-9
 
 #: documented accuracy of the Bessel series; a larger error bound raises
 SERIES_ACCURACY = 1e-8
-#: contour refinement agreement, and the bound on its rounding error
+#: contour refinement agreement
 CONTOUR_ACCURACY = 1e-10
 _EPS = float(np.finfo(float).eps)
 
@@ -174,8 +172,8 @@ def _bessel_sum(name: str, tau: float, rho: float, weights, tol: SeriesTolerance
     if _EPS * scale > SERIES_ACCURACY:
         raise SeriesDivergenceError(
             f"{name} at tau={tau} loses ~{math.log10(scale):.1f} digits to cancellation "
-            f"(error bound {_EPS * scale:.1e} > {SERIES_ACCURACY:g}); survival_series is "
-            "well conditioned near delta = 1",
+            f"(error bound {_EPS * scale:.1e} > {SERIES_ACCURACY:g}); c0_contour is "
+            "well conditioned at every delta",
             last_term=abs(float(terms[-1])),
         )
     return float(np.sum(terms))
@@ -292,7 +290,7 @@ def c0_closed_form(
     Domain: reconciled values are within 1e-8 of the exact amplitude (the
     delta = 1 branch, used within 5e-9 of it, is off by <= 6.7e-9); near
     delta = 1, where A cancels against the correction series, S_< / S_>
-    raise SeriesDivergenceError (survival_series covers that band).
+    raise SeriesDivergenceError (survival_series and c0_contour cover that band).
     """
     _check_variant(mode)
     params = regime_params(delta)
@@ -309,101 +307,80 @@ def c0_closed_form(
     return complex(val)
 
 
-def _pole_pair(delta: float, convention: str) -> list[complex]:
-    """Poles of the contour integrand: roots of z^2 + (1 - delta^2).
-
-    'printed' reads the denominator as z^2 + gamma^2 with
-    gamma = sqrt|1-delta^2| (poles +-i*gamma in both regimes);
-    'reconciled' keeps the sign of 1 - delta^2, which moves the poles to
-    the real axis (+-gamma) for delta > 1.
-    """
-    g = math.sqrt(abs(1.0 - delta * delta))
-    if convention == "printed" or delta < 1.0:
-        return [1j * g, -1j * g]
-    return [complex(g), complex(-g)]
-
-
 def c0_contour(
     delta: float,
     tau: float,
     n_points_start: int = 64,
     pole_convention: str = "reconciled",
 ) -> complex:
-    """Contour-integral evaluation of c0(tau): pole residues + origin quadrature.
+    """Contour-integral evaluation of c0(tau): circle quadrature + outer residues.
 
-    The two simple poles contribute analytically,
-    Res = (z_p^2 - 1)/(2 z_p^2) * exp(i tau (z_p + 1/z_p)); the essential
-    singularity at z = 0 is integrated by the periodic trapezoid rule on
-    a circle of radius r0 = min(1, 0.9*gamma) (inside the poles), with the
-    point count doubled until two refinements agree within
-    CONTOUR_ACCURACY.  A radius at or below 1 bounds |exp(i tau (z + 1/z))|
-    by exp(tau (1/r0 - r0)); one large circle past the poles would lose
-    ~exp(tau(r - 1/r)) digits.  Domain: raises QuadratureError before the
-    quadrature where eps times that bound exceeds CONTOUR_ACCURACY (near
-    delta = 1, and at large tau below it) or a residue overflows, and during
-    it once the refinement difference stops shrinking while below the
-    grid's rounding floor eps * max|f z|.  Near delta = 1 that floor passes
-    CONTOUR_ACCURACY through the factor 1/(z^2 + 1 - delta^2) the bound
-    leaves out; where it stays below, the rule cannot fire before convergence.
+    c0 = (1/2 pi i) closed integral over |z| = r of f(z) dz plus the
+    residues of the poles outside that circle, with
+    f(z) = exp(i tau (z + 1/z)) (z^2 - 1) / (z (z^2 + q)).  The poles are the
+    roots of z^2 + q: q = 1 - delta^2 ('reconciled', poles +-i*gamma for
+    delta < 1 and +-gamma for delta > 1) or q = gamma^2 ('printed', poles
+    +-i*gamma in both regimes), gamma = sqrt|1 - delta^2|, each with
+    Res = (z_p^2 - 1)/(2 z_p^2) exp(i tau (z_p + 1/z_p)).  The circle is the
+    unit circle, where the exponential has modulus 1 and the periodic
+    trapezoid rule converges geometrically (Trefethen & Weideman, SIAM Rev.
+    56, 385, 2014); the poles merge into the origin at delta = 1 without
+    touching it.  Where gamma lies within 0.05 of 1 (delta -> 0,
+    delta -> sqrt(2)) the radius moves to exp(+-min(0.3, 1/tau)), on the far
+    side of the poles, which keeps the exponential below e^2.03.  The point
+    count doubles from n_points_start until two refinements agree within
+    CONTOUR_ACCURACY.
+
+    Domain: reconciled values are within ~1e-10 of the exact amplitude for
+    every delta > 0 and tau >= 0 (printed values are wrong for delta > 1
+    and run away past sqrt(2)).  Raises QuadratureError where a pole residue overflows
+    or 20 doublings do not converge, and InvalidSpecError for delta <= 0,
+    tau < 0 or n_points_start < 4.
     """
     if pole_convention not in ("printed", "reconciled"):
         raise InvalidSpecError(f"unknown pole convention {pole_convention!r}")
     if not delta > 0:
         raise InvalidSpecError(f"delta must be > 0, got {delta}")
-    if abs(delta - 1.0) < CRITICAL_WINDOW:
-        raise InvalidSpecError(
-            "contour evaluation degenerates at delta = 1 (use the critical branch)"
-        )
     if tau < 0:
         raise InvalidSpecError("tau must be >= 0")
     if n_points_start < 4:
         raise InvalidSpecError("n_points_start must be >= 4")
 
-    d2 = delta * delta
-    gamma = math.sqrt(abs(1.0 - d2))
-    poles = _pole_pair(delta, pole_convention)
-    # denominator quadratic consistent with the chosen pole pair
-    quad_c = gamma * gamma if pole_convention == "printed" else (1.0 - d2)
-
-    r0 = min(1.0, 0.9 * gamma)
-    growth = tau * (1.0 / r0 - r0)  # log of the integrand's peak on the circle
-    if growth > math.log(CONTOUR_ACCURACY / _EPS):
-        raise QuadratureError(
-            f"quadrature ill conditioned at delta={delta}, tau={tau}: error "
-            f"~eps*exp({growth:.3g}) > {CONTOUR_ACCURACY:g}",
-            achieved=_EPS * math.exp(min(growth, 709.0)),
-        )
-    try:
-        total = sum(
-            (zp * zp - 1.0) / (2.0 * zp * zp) * cmath.exp(1j * tau * (zp + 1.0 / zp))
-            for zp in poles
-        )
-    except OverflowError:
-        raise QuadratureError(f"pole residue overflows at delta={delta}, tau={tau}") from None
+    q = 1.0 - delta * delta
+    if pole_convention == "printed":
+        q = abs(q)
+    gamma = math.sqrt(abs(q))  # modulus of both poles
+    r = 1.0
+    if abs(gamma - 1.0) < 0.05:  # poles this close slow the trapezoid rule: step past them
+        shift = min(0.3, 1.0 / tau) if tau > 0 else 0.3  # tau |r - 1/r| <= 2.03
+        r = math.exp(shift if gamma <= 1.0 else -shift)
+    total = 0j
+    if gamma > r:
+        zp = cmath.sqrt(-q)
+        try:
+            total = sum(
+                (z * z - 1.0) / (2.0 * z * z) * cmath.exp(1j * tau * (z + 1.0 / z))
+                for z in (zp, -zp)
+            )
+        except OverflowError:
+            total = complex(math.inf)
+        if not cmath.isfinite(total):  # an exp near the limit can overflow in the sum
+            raise QuadratureError(f"pole residue overflows at delta={delta}, tau={tau}")
 
     n = int(n_points_start)
     prev, diff = None, math.inf
     for _ in range(20):
-        theta = 2.0 * np.pi * np.arange(n) / n
-        z = r0 * np.exp(1j * theta)
-        f = np.exp(1j * tau * (z + 1.0 / z)) * (z * z - 1.0) / (z * (z * z + quad_c))
-        fz = f * z
-        val = complex(np.sum(fz) / n)  # (1/2*pi*i) * closed integral
+        z = r * np.exp(2j * np.pi * np.arange(n) / n)
+        # (1/2 pi i) closed integral of f dz = mean of f(z) z over the nodes
+        val = complex(np.mean(np.exp(1j * tau * (z + 1.0 / z)) * (z * z - 1.0) / (z * z + q)))
         if prev is not None:
-            last, diff = diff, abs(val - prev)
+            diff = abs(val - prev)
             if diff < CONTOUR_ACCURACY:
                 return total + val
-            floor = _EPS * float(np.max(np.abs(fz)))
-            if last <= diff < floor:  # rounding noise that more points cannot lower
-                raise QuadratureError(
-                    f"origin quadrature stalls under its rounding floor {floor:.1e} "
-                    f"(delta={delta}, tau={tau}, n={n})",
-                    achieved=diff,
-                )
         prev = val
         n *= 2
     raise QuadratureError(
-        f"origin quadrature did not converge after 20 doublings "
+        f"contour quadrature did not converge after 20 doublings "
         f"(delta={delta}, tau={tau})",
         achieved=diff,
     )

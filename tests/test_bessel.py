@@ -25,6 +25,14 @@ def test_matches_series(l, x):
     assert got == pytest.approx(ref, rel=5e-12, abs=5e-13)
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-100, 1e-9, 2e-8])
+def test_tiny_arguments_match_series(x):
+    # the downward recurrence grows by 2l/x per order and overflowed to nan
+    # below x ~ 1e-50
+    ref = [series_j(l, x) for l in range(6)]
+    assert bessel_j_array(5, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_twelve_digit_accuracy_sample():
     # mid-scale value with a non-tiny magnitude: demand 12 significant digits
     ref = series_j(4, 7.0)

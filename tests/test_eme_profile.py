@@ -64,14 +64,15 @@ def test_uniform_spacings_are_exactly_antisymmetric(n_guides):
     assert np.array_equal(c, -c[::-1])
 
 
-@pytest.mark.parametrize("step", [0.5, 1.25])
+@pytest.mark.parametrize("step", [0.3, 0.4, 0.5, 0.6, 0.8, 1.25])
 def test_a2_profile_equals_its_x_flip(step):
-    # the mode solver splits x parities only for an exactly symmetric map
+    # the mode solver splits x and y parities only for an exactly symmetric map
     exp = preset("A2")
     config = dataclasses.replace(DEFAULT_EME_CONFIG, step=step)
     geom = WaveguideGeometry.from_spacings(exp.n_sites, exp.d0, exp.d)
     prof = array_profile(config.ricker(), geom, config.grid_for(geom))
     assert np.array_equal(prof.n, prof.n[:, ::-1])
+    assert np.array_equal(prof.n, prof.n[::-1, :])
 
 
 def test_single_guide_array_equals_ricker():
