@@ -33,7 +33,6 @@ from .lattice import (
 )
 from .survival import (
     RegimeParams,
-    SeriesTolerance,
     bound_state_energies,
     c0_closed_form,
     c0_contour,
@@ -89,7 +88,6 @@ __all__ = [
     "propagate",
     "site_probabilities",
     "RegimeParams",
-    "SeriesTolerance",
     "bound_state_energies",
     "c0_closed_form",
     "c0_contour",

@@ -49,16 +49,17 @@ from .svgplot import line_chart
 from .textio import atomic_write, write_csv
 
 # ValueError covers the toolkit's invalid-input exceptions and a malformed
-# --config file; option values are checked by argparse before any command runs
+# --config file, OSError a file that cannot be read or written (missing, a
+# directory, no permission); option values are checked by argparse before
+# any command runs
 _DOMAIN_ERRORS = (
     ValueError,
-    TypeError,
     errors.SeriesDivergenceError,
     errors.QuadratureError,
     errors.EigensolverError,
     errors.SigmaExtractionError,
     errors.FitFailureError,
-    FileNotFoundError,
+    OSError,
 )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GeometryError, InvalidSpecError
-from .grid import Field, TransverseGrid
+from .grid import TransverseGrid
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,6 @@ class IndexProfile:
         if not np.all(np.isfinite(n)):
             raise InvalidSpecError("index map contains non-finite values")
 
-    def as_field(self) -> Field:
-        return Field(self.grid, self.n)
-
 
 @dataclass(frozen=True)
 class WaveguideGeometry:
@@ -75,19 +72,19 @@ class WaveguideGeometry:
         return len(self.centers)
 
     @staticmethod
-    def from_spacings(n_guides: int, d0: float, d: float, center: float = 0.0) -> "WaveguideGeometry":
-        """n_guides centers with first gap d0 and bulk gap d, centered at `center`.
+    def from_spacings(n_guides: int, d0: float, d: float) -> "WaveguideGeometry":
+        """n_guides centers with first gap d0 and bulk gap d, centered at x = 0.
 
         Offsets from the middle are exact half-integer multiples of d, and
         the first gap's excess d0 - d is split evenly between the first
-        guide and the rest, so with d0 == d and center 0 the centers are
-        exact negatives of each other.
+        guide and the rest, so with d0 == d the centers are exact negatives
+        of each other.
         """
         if n_guides < 1:
             raise InvalidSpecError("n_guides must be >= 1")
         half_excess = (d0 - d) / 2.0 if n_guides > 1 else 0.0
         return WaveguideGeometry(tuple(
-            (i - (n_guides - 1) / 2.0) * d + (half_excess if i else -half_excess) + center
+            (i - (n_guides - 1) / 2.0) * d + (half_excess if i else -half_excess)
             for i in range(n_guides)
         ))
 

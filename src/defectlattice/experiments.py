@@ -66,10 +66,6 @@ class ExperimentPreset:
                 f"{self.label}: delta={self.delta} is not beta0/beta within 2%"
             )
 
-    def lattice_spec(self) -> LatticeSpec:
-        """Physical-units chain spec (beta in 1/cm) for this array set."""
-        return LatticeSpec(n_sites=self.n_sites, beta=self.beta, delta=self.delta)
-
 
 _PRESETS = {
     "A1": ExperimentPreset("A1", d0=31.2, d=27.1, beta0=0.090, beta=0.190, delta=0.474),

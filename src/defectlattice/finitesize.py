@@ -32,14 +32,14 @@ class DeviationSeries:
 
 
 def deviation(spec_trunc: LatticeSpec, spec_ref: LatticeSpec, grid: TimeGrid) -> DeviationSeries:
-    """Propagate both chains from the edge-excited state and overlap per tau."""
-    if (spec_trunc.beta, spec_trunc.delta, spec_trunc.alpha) != (
-        spec_ref.beta,
-        spec_ref.delta,
-        spec_ref.alpha,
-    ):
+    """Propagate both chains from the edge-excited state and overlap per tau.
+
+    The two chains differ in length only: their defect ratios must be equal.
+    """
+    if spec_trunc.delta != spec_ref.delta:
         raise InvalidComparisonError(
-            "truncated and reference specs must share beta, delta and alpha"
+            f"truncated and reference specs must share delta "
+            f"({spec_trunc.delta} != {spec_ref.delta})"
         )
     # equal sizes are admitted (D is then identically zero); the reference
     # only has to be at least as large as the truncated chain

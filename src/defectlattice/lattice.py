@@ -1,15 +1,12 @@
 """Single-band chain with a boundary defect: construction and exact propagation.
 
-The chain has uniform on-site term alpha and uniform hopping beta except
-for the first bond, which carries beta0 = delta * beta.  All dynamics are
-computed through the full eigendecomposition of the real symmetric
-tridiagonal operator, so results are exact to machine precision at any
-evolution time; this module is the brute-force oracle the analytic
+The chain is dimensionless: time is tau = beta*z, every bond is 1 except
+the first, which is delta = beta0/beta, and the on-site term is 0 (a
+uniform on-site term only multiplies every amplitude by one phase).  All
+dynamics are computed through the full eigendecomposition of the real
+symmetric tridiagonal operator, so results are exact to machine precision
+at any evolution time; this module is the brute-force oracle the analytic
 formulas in :mod:`defectlattice.survival` are checked against.
-
-Internally everything is dimensionless (tau = beta * z with beta = 1);
-physical couplings in 1/cm and distances in cm only enter when building
-operators from a :class:`LatticeSpec` with explicit units.
 """
 
 from __future__ import annotations
@@ -30,39 +27,23 @@ PROB_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Chain definition: site count, bulk coupling, defect ratio, on-site term.
-
-    beta carries 1/cm when physical units matter; delta = beta0/beta is
-    dimensionless.  beta0 is always derived, never stored.
-    """
+    """Chain definition: site count and defect ratio delta = beta0/beta."""
 
     n_sites: int
-    beta: float = 1.0
     delta: float = 1.0
-    alpha: float = 0.0
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise InvalidSpecError(f"n_sites must be >= 2, got {self.n_sites}")
-        if not self.beta > 0:
-            raise InvalidSpecError(f"beta must be > 0, got {self.beta}")
         if not self.delta > 0:
             raise InvalidSpecError(f"delta must be > 0, got {self.delta}")
-
-    @property
-    def beta0(self) -> float:
-        return self.delta * self.beta
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing dimensionless times tau = beta*z, tau[0] >= 0.
-
-    When a beta (1/cm) is attached, ``z_cm`` recovers physical positions.
-    """
+    """Strictly increasing dimensionless times tau = beta*z, tau[0] >= 0."""
 
     tau: np.ndarray
-    beta: float | None = None
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
@@ -79,20 +60,14 @@ class TimeGrid:
     def __len__(self) -> int:
         return self.tau.size
 
-    @property
-    def z_cm(self) -> np.ndarray:
-        if self.beta is None:
-            raise InvalidSpecError("no beta attached to this grid")
-        return self.tau / self.beta
-
     @staticmethod
-    def uniform(tau_max: float, n_points: int, beta: float | None = None) -> "TimeGrid":
-        return TimeGrid(np.linspace(0.0, tau_max, n_points), beta=beta)
+    def uniform(tau_max: float, n_points: int) -> "TimeGrid":
+        return TimeGrid(np.linspace(0.0, tau_max, n_points))
 
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Real symmetric tridiagonal operator: diagonal alpha, off-diagonal couplings."""
+    """Real symmetric tridiagonal operator: diagonal and off-diagonal couplings."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
@@ -150,10 +125,10 @@ class AmplitudeTrace:
 
 
 def build_hamiltonian(spec: LatticeSpec) -> TridiagonalOperator:
-    """Tridiagonal operator for the chain: diag all alpha, first bond delta*beta."""
-    off = np.full(spec.n_sites - 1, spec.beta)
-    off[0] = spec.beta0
-    return TridiagonalOperator(np.full(spec.n_sites, spec.alpha), off)
+    """Tridiagonal operator for the chain: zero diagonal, bonds 1, first bond delta."""
+    off = np.ones(spec.n_sites - 1)
+    off[0] = spec.delta
+    return TridiagonalOperator(np.zeros(spec.n_sites), off)
 
 
 def initial_state(n_sites: int) -> np.ndarray:

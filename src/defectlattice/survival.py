@@ -74,22 +74,10 @@ _EPS = float(np.finfo(float).eps)
 
 _VARIANTS = ("reconciled", "printed")
 
-
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Truncation policy for the correction series."""
-
-    abs_tol: float = 1e-12
-    max_terms: int = 10 ** 6
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise InvalidSpecError("abs_tol must be > 0")
-        if self.max_terms < 1:
-            raise InvalidSpecError("max_terms must be >= 1")
-
-
-DEFAULT_TOL = SeriesTolerance()
+#: a series stops at the first order past which every term is below this
+_TERM_BOUND = 1e-12
+#: a series that needs more orders than this raises SeriesDivergenceError
+_MAX_ORDERS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -135,24 +123,24 @@ def _check_variant(variant: str):
         raise InvalidSpecError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
-def _order_cap(y: float, tol: SeriesTolerance, name: str) -> int:
-    """Smallest order L > y = rho*x/2 with y^L / L! < abs_tol; as
+def _order_cap(y: float, name: str) -> int:
+    """Smallest order L > y = rho*x/2 with y^L / L! < _TERM_BOUND; as
     |w_l J_l(x)| <~ y^l / l!, every later term is smaller.  The search
-    stops at e^2 y - ln(abs_tol), where ln(y^L / L!) <= -L.
+    stops at e^2 y - ln(_TERM_BOUND), where ln(y^L / L!) <= -L.
     """
     if y == 0.0:
         return 0
-    if y <= tol.max_terms:  # false for inf and nan
-        hi = min(tol.max_terms, int(math.e ** 2 * y - math.log(tol.abs_tol)) + 1)
+    if y <= _MAX_ORDERS:  # false for inf and nan
+        hi = min(_MAX_ORDERS, int(math.e ** 2 * y - math.log(_TERM_BOUND)) + 1)
         orders = np.arange(1, hi + 1)
         log_terms = np.cumsum(math.log(y) - np.log(orders))
-        past = orders[(orders > y) & (log_terms < math.log(tol.abs_tol))]
+        past = orders[(orders > y) & (log_terms < math.log(_TERM_BOUND))]
         if past.size:
             return int(past[0])
-    raise SeriesDivergenceError(f"{name} needs more than {tol.max_terms} orders")
+    raise SeriesDivergenceError(f"{name} needs more than {_MAX_ORDERS} orders")
 
 
-def _bessel_sum(name: str, tau: float, rho: float, weights, tol: SeriesTolerance) -> float:
+def _bessel_sum(name: str, tau: float, rho: float, weights) -> float:
     """sum_l w_l J_l(2 tau) for l = 0..L, with w = weights(L) growing like rho^l.
 
     eps * sum_l |w_l J_l| bounds the sum's rounding error (Higham, Accuracy
@@ -161,7 +149,7 @@ def _bessel_sum(name: str, tau: float, rho: float, weights, tol: SeriesTolerance
     SeriesDivergenceError instead of returning lost digits.
     """
     x = 2.0 * tau
-    cap = _order_cap(0.5 * rho * x, tol, name)
+    cap = _order_cap(0.5 * rho * x, name)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = weights(cap)
         if np.all(np.isfinite(terms)):  # an overflowing weight skips the recurrence
@@ -179,12 +167,7 @@ def _bessel_sum(name: str, tau: float, rho: float, weights, tol: SeriesTolerance
     return float(np.sum(terms))
 
 
-def s_less(
-    tau: float,
-    gamma: float,
-    tol: SeriesTolerance = DEFAULT_TOL,
-    variant: str = "printed",
-) -> float:
+def s_less(tau: float, gamma: float, variant: str = "reconciled") -> float:
     """Correction term for the sub-critical branch (0 < gamma <= 1).
 
     lead + (1 + 1/gamma^2) (bilateral/2 - even), bilateral = sum over all
@@ -193,7 +176,7 @@ def s_less(
     makes the bracket one sum of v_l J_l(2 tau), v_0 = -1/2 and
     v_l = (-1)^(l+1) (gamma^-l - gamma^l)/2.  Domain: accurate to 1e-8;
     raises SeriesDivergenceError where it would cancel past that (gamma -> 0
-    i.e. delta -> 1, large tau) or needs more than tol.max_terms orders.
+    i.e. delta -> 1, large tau) or needs more than 10^6 orders.
     """
     _check_variant(variant)
     if not 0.0 < gamma <= 1.0:  # gamma = 1 where delta^2 underflows
@@ -209,15 +192,10 @@ def s_less(
         w[0] = lead - 0.5 * pref
         return w
 
-    return _bessel_sum("s_less", tau, 1.0 / gamma, weights, tol)
+    return _bessel_sum("s_less", tau, 1.0 / gamma, weights)
 
 
-def s_greater(
-    tau: float,
-    gamma: float,
-    tol: SeriesTolerance = DEFAULT_TOL,
-    variant: str = "printed",
-) -> float:
+def s_greater(tau: float, gamma: float, variant: str = "reconciled") -> float:
     """Correction term for the super-critical branch (gamma > 0).
 
     J_0(2 tau) - (1 - 1/gamma^2) sum_n sum_{l=n}^{2n} (i tau)^(2n) gamma^e /
@@ -242,10 +220,10 @@ def s_greater(
         w[0] += 1.0  # the leading J_0(2 tau)
         return w
 
-    return _bessel_sum("s_greater", tau, math.sqrt(r), weights, tol)
+    return _bessel_sum("s_greater", tau, math.sqrt(r), weights)
 
 
-def survival_series(delta: float, tau: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def survival_series(delta: float, tau: float) -> float:
     """Regime-independent resummed series for c0(tau); see module docstring.
 
     Converges for every delta > 0.  Domain: accurate to 1e-8, also around
@@ -266,15 +244,10 @@ def survival_series(delta: float, tau: float, tol: SeriesTolerance = DEFAULT_TOL
         return w
 
     # |c^k + c^(k-1)| <= 2 max(1, |c|)^k: growth per order sqrt(|c|)
-    return _bessel_sum("survival_series", tau, max(1.0, math.sqrt(abs(c))), weights, tol)
+    return _bessel_sum("survival_series", tau, max(1.0, math.sqrt(abs(c))), weights)
 
 
-def c0_closed_form(
-    delta: float,
-    tau: float,
-    tol: SeriesTolerance = DEFAULT_TOL,
-    mode: str = "reconciled",
-) -> complex:
+def c0_closed_form(delta: float, tau: float, mode: str = "reconciled") -> complex:
     """Piecewise closed form for c0(tau), dispatching on the regime.
 
     delta < 1:  (A/2) exp(-Omega tau) + S_<(tau)
@@ -298,21 +271,16 @@ def c0_closed_form(
         return complex(c0_critical(tau))
     if delta < 1.0:
         val = params.amp / 2.0 * math.exp(-params.omega * tau) + s_less(
-            tau, params.gamma, tol, variant=mode
+            tau, params.gamma, variant=mode
         )
     else:
         val = params.amp * math.cos(params.omega * tau) + s_greater(
-            tau, params.gamma, tol, variant=mode
+            tau, params.gamma, variant=mode
         )
     return complex(val)
 
 
-def c0_contour(
-    delta: float,
-    tau: float,
-    n_points_start: int = 64,
-    pole_convention: str = "reconciled",
-) -> complex:
+def c0_contour(delta: float, tau: float, pole_convention: str = "reconciled") -> complex:
     """Contour-integral evaluation of c0(tau): circle quadrature + outer residues.
 
     c0 = (1/2 pi i) closed integral over |z| = r of f(z) dz plus the
@@ -328,23 +296,20 @@ def c0_contour(
     touching it.  Where gamma lies within 0.05 of 1 (delta -> 0,
     delta -> sqrt(2)) the radius moves to exp(+-min(0.3, 1/tau)), on the far
     side of the poles, which keeps the exponential below e^2.03.  The point
-    count doubles from n_points_start until two refinements agree within
+    count doubles from 64 until two refinements agree within
     CONTOUR_ACCURACY.
 
     Domain: reconciled values are within ~1e-10 of the exact amplitude for
     every delta > 0 and tau >= 0 (printed values are wrong for delta > 1
     and run away past sqrt(2)).  Raises QuadratureError where a pole residue overflows
     or 20 doublings do not converge, and InvalidSpecError for delta <= 0,
-    tau < 0 or n_points_start < 4.
+    tau < 0 or an unknown pole convention.
     """
-    if pole_convention not in ("printed", "reconciled"):
-        raise InvalidSpecError(f"unknown pole convention {pole_convention!r}")
+    _check_variant(pole_convention)
     if not delta > 0:
         raise InvalidSpecError(f"delta must be > 0, got {delta}")
     if tau < 0:
         raise InvalidSpecError("tau must be >= 0")
-    if n_points_start < 4:
-        raise InvalidSpecError("n_points_start must be >= 4")
 
     q = 1.0 - delta * delta
     if pole_convention == "printed":
@@ -367,7 +332,7 @@ def c0_contour(
         if not cmath.isfinite(total):  # an exp near the limit can overflow in the sum
             raise QuadratureError(f"pole residue overflows at delta={delta}, tau={tau}")
 
-    n = int(n_points_start)
+    n = 64
     prev, diff = None, math.inf
     for _ in range(20):
         z = r * np.exp(2j * np.pi * np.arange(n) / n)

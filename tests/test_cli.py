@@ -1,6 +1,8 @@
 """Command-line interface: artifacts, determinism, exit codes, config."""
 
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -72,6 +74,24 @@ def test_domain_error_exits_1(tmp_path, capsys):
         assert rc == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closed-form", "--delta", "1", "--out", "DIR"],
+        ["eme-fit", "--mode-file", "DIR", "--out", "fit.json"],
+        ["closed-form", "--config", "DIR", "--delta", "1", "--out", "c0.csv"],
+    ],
+    ids=["out-dir", "mode-file-dir", "config-dir"],
+)
+def test_os_error_exits_1(tmp_path, monkeypatch, capsys, argv):
+    # a directory where a file is expected is an error line, not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "DIR").mkdir()
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR"]
 
 
 @pytest.mark.parametrize("steps", ["1", "0", "abc"])
@@ -308,3 +328,23 @@ def test_eme_fit_cli(mode_file, tmp_path):
     assert payload["delta_n"] == pytest.approx(3e-3, rel=0.05)
     assert payload["sigma_x"] == pytest.approx(4.0, rel=0.05)
     assert payload["fidelity"] > 0.99
+
+
+def _readme_cli_lines():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_lines_exit_0(tmp_path, monkeypatch, capsys):
+    # the desk-guide mode image that the eme-reconstruct and eme-fit lines read
+    monkeypatch.chdir(tmp_path)
+    grid = TransverseGrid.centered(72.0, 72.0, 1.0, 1.0)
+    ms = solve_modes(ricker_profile(RickerParams(3e-3, 4.0, 4.0, 1.457), grid), 0.633, 1,
+                     check_edges=False)
+    write_field("mode.txt", ms.modes[0])
+    lines = _readme_cli_lines()
+    assert len(lines) >= 9
+    for argv in lines:
+        assert argv[0] == "defectlattice"
+        assert main(argv[1:]) == 0, " ".join(argv)

@@ -34,8 +34,6 @@ def test_mismatched_specs_rejected():
     with pytest.raises(InvalidComparisonError):
         deviation(LatticeSpec(10, delta=1.0), LatticeSpec(600, delta=1.1), GRID)
     with pytest.raises(InvalidComparisonError):
-        deviation(LatticeSpec(10, beta=0.2, delta=1.0), LatticeSpec(600, delta=1.0), GRID)
-    with pytest.raises(InvalidComparisonError):
         deviation(LatticeSpec(20, delta=1.0), LatticeSpec(10, delta=1.0), GRID)
 
 

@@ -17,15 +17,11 @@ from helpers import J1_FIRST_ZERO, series_j
 
 
 def test_build_hamiltonian_examples():
-    op = build_hamiltonian(LatticeSpec(3, beta=1.0, delta=0.5))
+    op = build_hamiltonian(LatticeSpec(3, delta=0.5))
     assert op.diagonal.tolist() == [0.0, 0.0, 0.0]
     assert op.off_diagonal.tolist() == [0.5, 1.0]
 
-    op = build_hamiltonian(LatticeSpec(10, beta=0.19, delta=0.474))
-    assert op.off_diagonal[0] == pytest.approx(0.09006, abs=1e-12)
-    assert np.allclose(op.off_diagonal[1:], 0.19)
-
-    op = build_hamiltonian(LatticeSpec(2, beta=1.0, delta=1.0))
+    op = build_hamiltonian(LatticeSpec(2, delta=1.0))
     assert op.off_diagonal.tolist() == [1.0]
 
 
@@ -33,10 +29,7 @@ def test_spec_validation():
     with pytest.raises(InvalidSpecError):
         LatticeSpec(1)
     with pytest.raises(InvalidSpecError):
-        LatticeSpec(5, beta=0.0)
-    with pytest.raises(InvalidSpecError):
         LatticeSpec(5, delta=-0.1)
-    assert LatticeSpec(5, beta=0.2, delta=0.5).beta0 == pytest.approx(0.1)
 
 
 def test_grid_validation():
@@ -46,8 +39,6 @@ def test_grid_validation():
         TimeGrid(np.array([-1.0, 0.0]))
     with pytest.raises(InvalidSpecError):
         TimeGrid(np.array([]))
-    g = TimeGrid(np.array([0.0, 2.0]), beta=0.2)
-    assert g.z_cm.tolist() == [0.0, 10.0]
 
 
 def test_initial_state():
@@ -71,7 +62,7 @@ def test_two_site_full_inversion():
 def test_identity_at_tau_zero(rng):
     state = rng.normal(size=7) + 1j * rng.normal(size=7)
     state /= np.linalg.norm(state)
-    op = build_hamiltonian(LatticeSpec(7, delta=2.3, alpha=0.4))
+    op = build_hamiltonian(LatticeSpec(7, delta=2.3))
     tr = propagate(op, state, TimeGrid(np.array([0.0])))
     assert np.allclose(tr.amplitudes[0], state, atol=1e-12)
 
@@ -87,10 +78,7 @@ def test_norm_conservation_random_specs(rng):
     grid = TimeGrid(np.linspace(0.0, 4.0, 23))
     for _ in range(8):
         n = int(rng.integers(2, 40))
-        spec = LatticeSpec(
-            n, beta=float(rng.uniform(0.05, 2.0)), delta=float(rng.uniform(0.05, 5.0)),
-            alpha=float(rng.uniform(-1.0, 1.0)),
-        )
+        spec = LatticeSpec(n, delta=float(rng.uniform(0.05, 5.0)))
         tr = propagate(build_hamiltonian(spec), initial_state(n), grid)
         norms = np.sum(np.abs(tr.amplitudes) ** 2, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
@@ -115,23 +103,6 @@ def test_spectrum_band_structure():
         omega = delta ** 2 / np.sqrt(delta ** 2 - 1.0)
         assert outside.size == 2
         assert sorted(outside) == pytest.approx([-omega, omega], abs=1e-6)
-
-
-def test_beta_scales_spectrum():
-    w, _ = build_hamiltonian(LatticeSpec(50, beta=0.19, delta=1.0)).eigensystem()
-    assert np.max(np.abs(w)) <= 2.0 * 0.19 + 1e-12
-
-
-def test_alpha_gauge_invariance():
-    grid = TimeGrid(np.linspace(0.0, 4.0, 9))
-    base = propagate(build_hamiltonian(LatticeSpec(15, delta=2.0)), initial_state(15), grid)
-    shifted = propagate(
-        build_hamiltonian(LatticeSpec(15, delta=2.0, alpha=0.83)), initial_state(15), grid
-    )
-    assert np.max(np.abs(np.abs(shifted.amplitudes) ** 2 - np.abs(base.amplitudes) ** 2)) < 1e-12
-    w0, _ = build_hamiltonian(LatticeSpec(15, delta=2.0)).eigensystem()
-    w1, _ = build_hamiltonian(LatticeSpec(15, delta=2.0, alpha=0.83)).eigensystem()
-    assert np.allclose(w1 - w0, 0.83, atol=1e-12)
 
 
 def test_row_sums_defect_chain():
