@@ -20,6 +20,11 @@ from ..errors import InvalidSpecError
 from ..textio import atomic_write
 
 
+def _check_steps(dx: float, dy: float):
+    if not (0 < dx < np.inf and 0 < dy < np.inf):
+        raise InvalidSpecError(f"grid steps must be finite and > 0, got {dx}, {dy}")
+
+
 def _axis(first: float, step: float, n: int) -> np.ndarray:
     """first + step*j as centre + step*(j - (n-1)/2): mirror-exact about a 0 centre."""
     half = (n - 1) / 2.0
@@ -40,8 +45,7 @@ class TransverseGrid:
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
             raise InvalidSpecError(f"grid must be at least 8x8, got {self.nx}x{self.ny}")
-        if not (self.dx > 0 and self.dy > 0):
-            raise InvalidSpecError("grid steps must be > 0")
+        _check_steps(self.dx, self.dy)
 
     @property
     def x(self) -> np.ndarray:
@@ -61,6 +65,7 @@ class TransverseGrid:
     @staticmethod
     def centered(width: float, height: float, dx: float, dy: float) -> "TransverseGrid":
         """Grid spanning [-width/2, width/2] x [-height/2, height/2]."""
+        _check_steps(dx, dy)
         nx = int(round(width / dx)) + 1
         ny = int(round(height / dy)) + 1
         return TransverseGrid(nx, ny, dx, dy, -dx * (nx - 1) / 2.0, -dy * (ny - 1) / 2.0)

@@ -6,21 +6,18 @@ n_eff = k/k0 above the substrate index.
 
 Parity blocks.  The operator depends only on n, dx and dy, so on each axis
 where the index map equals its own flip the eigenvectors split into even
-and odd ones, and each parity is an eigenproblem on the half axis with a
-mirror boundary (Fallahkhair, Li & Murphy, J. Lightwave Technol. 26, 1423,
-2008).  A profile symmetric in x and y thus splits into four blocks on the
-quarter domain, one symmetric in y only into two on the half, and any
-other profile is a single block, the full grid.  Every block eigenvalue is
-a full-grid eigenvalue.  A block operator is the Kronecker sum of two 1-D
-second differences plus k0^2 n^2 on the block's part of the grid.  Each
-1-D difference is Dirichlet at the domain edge; at a mirror on a grid
-line the even block keeps that line, whose coupling to its neighbour is
-2/h^2 one way and 1/h^2 the other (scaling the line by 1/sqrt(2) makes
-both sqrt(2)/h^2 and the block symmetric), and the odd block starts past
-it, since the line is a node.  For a mirror between two lines, the first
-kept line gets +1/h^2 (even) or -1/h^2 (odd) on its diagonal.  Block
-eigenvectors unfold to full-grid modes by mirroring with the block's sign
-on each symmetric axis, after undoing the 1/sqrt(2) scaling.
+and odd ones (Fallahkhair, Li & Murphy, J. Lightwave Technol. 26, 1423,
+2008).  Each parity of such an axis has an orthonormal basis P with one
+column per point of the upper half, pairing it with its mirror image with
+weights 1/sqrt(2) and +-1/sqrt(2); a mirror line pairs with itself (weight
+1, and no odd column).  A non-symmetric axis has P = I.  The Laplacian is a
+Kronecker sum and n^2 is equal at mirror images, so a block operator is the
+Kronecker sum of the projected 1-D second differences P^T D P (D Dirichlet
+at the domain edge) plus k0^2 n^2 on the block's kept points, and P maps
+its eigenvectors back to the full grid.  A profile symmetric in x and y
+thus splits into four blocks on the quarter domain, one symmetric in y
+only into two on the half, and any other profile is a single block, the
+full grid.  Every block eigenvalue is a full-grid eigenvalue.
 
 Which blocks are solved.  For k = 1 only the all-even block: the
 operator's off-diagonal entries are non-negative and connect the whole
@@ -56,7 +53,7 @@ no tie between equal peaks (as in x-odd supermodes) can flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,71 +94,37 @@ class ModeSet:
         return (stack @ stack.T) * area
 
 
-class _Side(NamedTuple):
-    """One block of an axis: the whole axis (parity 0), or the even (+1) or
-    odd (-1) half behind a mirror at its centre, kept from index ``start``.
-    ``diag`` is added to the first kept line's diagonal and ``coupling``
-    scales that line's coupling to the next; ``_WHOLE`` is Dirichlet."""
-
-    parity: int
-    start: int
-    diag: float
-    coupling: float
-
-
-_WHOLE = _Side(0, 0, 0.0, 1.0)
-
-
-def _sides(size: int, h: float, symmetric: bool) -> list[_Side]:
-    """The blocks of one axis, the even one first."""
+@lru_cache(maxsize=None)
+def _parity_bases(size: int, h: float, symmetric: bool) -> tuple:
+    """The blocks of one axis, the even one first, as (P, P^T D P, first
+    kept index): column j of P pairs point start + j with its mirror image."""
+    eye = sp.identity(size, format="csr")
+    d = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(size, size), format="csr") / h ** 2
     if not symmetric:
-        return [_WHOLE]
-    mid = size // 2
-    if size % 2:  # mirror on line `mid`
-        return [_Side(1, mid, 0.0, np.sqrt(2.0)), _Side(-1, mid + 1, 0.0, 1.0)]
-    return [_Side(1, mid, 1.0 / h ** 2, 1.0), _Side(-1, mid, -1.0 / h ** 2, 1.0)]
+        return ((eye, d, 0),)
+    blocks = []
+    for sign, start in ((1.0, size // 2), (-1.0, (size + 1) // 2)):
+        # point start + j plus sign times its mirror image (a mirror line: twice
+        # itself), scaled to unit norm
+        pair = eye[:, start:] + sign * eye[::-1, start:]
+        p = pair @ sp.diags(1.0 / np.sqrt(pair.multiply(pair).sum(axis=0).A1))
+        blocks.append((p, p.T @ d @ p, start))
+    return tuple(blocks)
 
 
-def _second_difference(size: int, h: float, side: _Side) -> sp.dia_matrix:
-    """1-D second difference on the block's `size` points, Dirichlet past the far end."""
-    diag = np.full(size, -2.0 / h ** 2)
-    diag[0] += side.diag
-    off = np.full(size - 1, 1.0 / h ** 2)
-    off[0] *= side.coupling
-    return sp.diags([off, diag, off], [-1, 0, 1])
-
-
-def _operator(
-    profile: IndexProfile, k0: float, x: _Side = _WHOLE, y: _Side = _WHOLE
-) -> sp.csc_matrix:
-    """[lap + k0^2 n^2] on the (x, y) block of the profile, y-fast ordering."""
-    g, n = profile.grid, profile.n[y.start :, x.start :]
-    ny, nx = n.shape
+def _operator(profile: IndexProfile, k0: float, x: tuple, y: tuple) -> sp.csc_matrix:
+    """[lap + k0^2 n^2] on the (x, y) parity block of the profile, y-fast ordering."""
+    (_, dx, x0), (_, dy, y0) = x, y
+    n = profile.n[y0:, x0:]
     # unknown index = ix*ny + iy keeps the small dimension contiguous
-    lap = sp.kronsum(
-        _second_difference(ny, g.dy, y), _second_difference(nx, g.dx, x), format="csc"
-    )
-    return lap + sp.diags(k0 ** 2 * n.T.ravel() ** 2, format="csc")
+    return sp.kronsum(dy, dx, format="csc") + sp.diags(k0 ** 2 * n.T.ravel() ** 2, format="csc")
 
 
 def helmholtz_matrix(profile: IndexProfile, wavelength: float) -> sp.csc_matrix:
     """Sparse 5-point [lap + k0^2 n^2] with Dirichlet boundary, y-fast ordering."""
-    return _operator(profile, 2.0 * np.pi / wavelength)
-
-
-def _unfold(v: np.ndarray, axis: int, size: int, side: _Side) -> np.ndarray:
-    """Block vectors v mirrored along `axis` back onto all `size` points."""
-    if side.parity == 0:
-        return v
-    shape = list(v.shape)
-    shape[axis] = size
-    full = np.zeros(shape)
-    f = np.moveaxis(full, axis, 0)
-    f[side.start :] = np.moveaxis(v, axis, 0)
-    f[side.start] *= side.coupling  # sqrt(2) on an even mirror line, else 1
-    mid = size // 2
-    f[:mid] = side.parity * np.flip(f[size - mid :], 0)
-    return full
+    g = profile.grid
+    (x,), (y,) = _parity_bases(g.nx, g.dx, False), _parity_bases(g.ny, g.dy, False)
+    return _operator(profile, 2.0 * np.pi / wavelength, x, y)
 
 
 def _factor(A: sp.csc_matrix, shift: float):
@@ -209,27 +172,28 @@ def _block_eigenpairs(
     """Eigenpairs from the parity blocks as (values, (m, ny, nx) full-grid
     vectors); they include the top k (see the module docstring)."""
     g, n = profile.grid, profile.n
-    xs = _sides(g.nx, g.dx, np.array_equal(n, n[:, ::-1]))
-    ys = _sides(g.ny, g.dy, np.array_equal(n, n[::-1]))
-    blocks = [(x, y) for y in ys for x in xs]
+    xs = _parity_bases(g.nx, g.dx, np.array_equal(n, n[:, ::-1]))
+    ys = _parity_bases(g.ny, g.dy, np.array_equal(n, n[::-1]))
+    blocks = [(ix, iy) for iy in range(len(ys)) for ix in range(len(xs))]
     if k == 1:
         blocks = blocks[:1]  # all-even: holds the top mode (Perron-Frobenius)
     t = k0 ** 2 * profile.n0 ** 2
     counts = {}
     vals, fields = [np.empty(0)], [np.empty((0, g.ny, g.nx))]
-    for x, y in blocks:
-        if any(counts.get(b) == 0 for b in ((xs[0], y), (x, ys[0]))):
-            counts[x, y] = 0  # tops out below a block that binds nothing
+    for ix, iy in blocks:
+        if counts.get((0, iy)) == 0 or counts.get((ix, 0)) == 0:
+            counts[ix, iy] = 0  # tops out below a block that binds nothing
             continue
-        A = _operator(profile, k0, x, y)
-        counts[x, y] = 1 if k == 1 else _count_above(A, t, unknown=k)
-        want = min(counts[x, y], k, A.shape[0] - 2)
+        (px, _, x0), (py, _, y0) = xs[ix], ys[iy]
+        A = _operator(profile, k0, xs[ix], ys[iy])
+        counts[ix, iy] = 1 if k == 1 else _count_above(A, t, unknown=k)
+        want = min(counts[ix, iy], k, A.shape[0] - 2)
         if want < 1:
             continue
         w, v = _top_eigenpairs(A, sigma, want)
-        block = v.T.reshape(want, g.nx - x.start, g.ny - y.start).transpose(0, 2, 1)
+        block = v.T.reshape(want, g.nx - x0, g.ny - y0).transpose(0, 2, 1)
         vals.append(w)
-        fields.append(_unfold(_unfold(block, 1, g.ny, y), 2, g.nx, x))
+        fields.append(np.stack([py @ b @ px.T for b in block]))
     return np.concatenate(vals), np.concatenate(fields)
 
 
@@ -261,27 +225,19 @@ def solve_modes(
     order = [j for j in top if n_eff[j] > profile.n0]  # bound, descending
     n_eff = n_eff[order]
 
-    modes = []
-    for i, j in enumerate(order):
-        m = fields[j]
-        m = m / np.sqrt(np.sum(m ** 2) * g.cell_area)
-        peak = float(np.max(np.abs(m)))
-        flat = m.ravel()
-        if flat[np.argmax(np.abs(flat) >= 0.5 * peak)] < 0:  # tie-free sign
-            m = -m
-        edge = float(
-            max(
-                np.max(np.abs(m[0, :])),
-                np.max(np.abs(m[-1, :])),
-                np.max(np.abs(m[:, 0])),
-                np.max(np.abs(m[:, -1])),
-            )
+    m = fields[order].reshape(len(order), g.ny * g.nx)
+    m = m / np.sqrt(np.sum(m ** 2, axis=1) * g.cell_area)[:, None]
+    peak = np.max(np.abs(m), axis=1)
+    first = np.argmax(np.abs(m) >= 0.5 * peak[:, None], axis=1)
+    m = m * np.where(m[np.arange(len(order)), first] < 0, -1.0, 1.0)[:, None]  # tie-free sign
+    m = m.reshape(-1, g.ny, g.nx)
+    edges = np.concatenate([m[:, 0, :], m[:, -1, :], m[:, :, 0], m[:, :, -1]], axis=1)
+    edge = np.max(np.abs(edges), axis=1)
+    bad = np.flatnonzero(edge > EDGE_DECAY * peak)
+    if check_edges and bad.size:
+        i = bad[0]
+        raise GeometryError(
+            f"mode {i} reaches {edge[i] / peak[i]:.2e} of its peak at the domain "
+            f"boundary (> {EDGE_DECAY:g}); enlarge the transverse domain"
         )
-        if check_edges and edge > EDGE_DECAY * peak:
-            raise GeometryError(
-                f"mode {i} reaches {edge / peak:.2e} of its peak at the domain "
-                f"boundary (> {EDGE_DECAY:g}); enlarge the transverse domain"
-            )
-        modes.append(Field(g, m))
-
-    return ModeSet(g, tuple(modes), n_eff, wavelength, n_modes)
+    return ModeSet(g, tuple(Field(g, v) for v in m), n_eff, wavelength, n_modes)

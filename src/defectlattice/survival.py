@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +96,20 @@ class RegimeParams:
     regime: str
 
 
+def _check_delta(delta: float):
+    """delta > 0 with 2 delta^2 finite (a contour pole's residue squares it)."""
+    if not (isinstance(delta, numbers.Real) and delta > 0 and math.isfinite(2.0 * delta * delta)):
+        raise InvalidSpecError(f"delta must be > 0 with a finite 2*delta^2, got {delta!r}")
+
+
+def _check_tau(tau: float):
+    if not 0 <= tau < math.inf:
+        raise InvalidSpecError(f"tau must be a finite number >= 0, got {tau!r}")
+
+
 def regime_params(delta: float) -> RegimeParams:
     """gamma = sqrt|1-delta^2|, A = (delta^2-2)/(delta^2-1), Omega = delta^2/gamma."""
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta > 0):
-        raise InvalidSpecError(f"delta must be a finite number > 0, got {delta!r}")
+    _check_delta(delta)
     d2 = delta * delta
     gamma = math.sqrt(abs(1.0 - d2))
     if delta == 1.0:
@@ -111,8 +122,7 @@ def regime_params(delta: float) -> RegimeParams:
 
 def c0_critical(tau: float) -> float:
     """Critical branch J_1(2 tau)/tau, with the exact limit 1 at tau = 0."""
-    if tau < 0:
-        raise InvalidSpecError("tau must be >= 0")
+    _check_tau(tau)
     if tau == 0.0:
         return 1.0
     return bessel_j(1, 2.0 * tau) / tau
@@ -181,8 +191,7 @@ def s_less(tau: float, gamma: float, variant: str = "reconciled") -> float:
     _check_variant(variant)
     if not 0.0 < gamma <= 1.0:  # gamma = 1 where delta^2 underflows
         raise InvalidSpecError(f"s_less needs 0 < gamma <= 1, got {gamma}")
-    if tau < 0:
-        raise InvalidSpecError("tau must be >= 0")
+    _check_tau(tau)
     pref = 1.0 + 1.0 / (gamma * gamma)
     lead = 2.0 if variant == "printed" else 1.0
 
@@ -209,8 +218,7 @@ def s_greater(tau: float, gamma: float, variant: str = "reconciled") -> float:
     _check_variant(variant)
     if not gamma > 0:
         raise InvalidSpecError(f"s_greater needs gamma > 0, got {gamma}")
-    if tau < 0:
-        raise InvalidSpecError("tau must be >= 0")
+    _check_tau(tau)
     pref = 1.0 - 1.0 / (gamma * gamma)
     r = gamma * gamma if variant == "printed" else 1.0 / (gamma * gamma)
 
@@ -230,10 +238,8 @@ def survival_series(delta: float, tau: float) -> float:
     delta = 1; its terms grow like exp(delta*tau) and cancel, so it raises
     SeriesDivergenceError for delta >~ 4.9 at tau <= 4 (>~ 1.9 at tau = 20).
     """
-    if not delta > 0:
-        raise InvalidSpecError(f"delta must be > 0, got {delta}")
-    if tau < 0:
-        raise InvalidSpecError("tau must be >= 0")
+    _check_delta(delta)
+    _check_tau(tau)
     c = 1.0 - delta * delta
 
     def weights(cap):
@@ -267,6 +273,7 @@ def c0_closed_form(delta: float, tau: float, mode: str = "reconciled") -> comple
     """
     _check_variant(mode)
     params = regime_params(delta)
+    _check_tau(tau)
     if abs(delta - 1.0) < _CLOSED_FORM_WINDOW:
         return complex(c0_critical(tau))
     if delta < 1.0:
@@ -303,13 +310,12 @@ def c0_contour(delta: float, tau: float, pole_convention: str = "reconciled") ->
     every delta > 0 and tau >= 0 (printed values are wrong for delta > 1
     and run away past sqrt(2)).  Raises QuadratureError where a pole residue overflows
     or 20 doublings do not converge, and InvalidSpecError for delta <= 0,
-    tau < 0 or an unknown pole convention.
+    an infinite 2 delta^2, tau < 0, a non-finite tau or an unknown pole
+    convention.
     """
     _check_variant(pole_convention)
-    if not delta > 0:
-        raise InvalidSpecError(f"delta must be > 0, got {delta}")
-    if tau < 0:
-        raise InvalidSpecError("tau must be >= 0")
+    _check_delta(delta)
+    _check_tau(tau)
 
     q = 1.0 - delta * delta
     if pole_convention == "printed":
@@ -364,8 +370,7 @@ def bound_state_energies(delta: float) -> tuple[float, float] | None:
     discrete energies +-delta^2/sqrt(delta^2-1) then sits outside the
     band [-2, 2].
     """
-    if not delta > 0:
-        raise InvalidSpecError(f"delta must be > 0, got {delta}")
+    _check_delta(delta)
     d2 = delta * delta
     if d2 - 2.0 <= _BOUND_MARGIN:
         return None

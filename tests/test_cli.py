@@ -67,13 +67,29 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_domain_error_exits_1(tmp_path, capsys):
-    # -1 is invalid; at 0.99 the closed form cancels past its 1e-8 accuracy
+    # -1 and 1e160 (2 delta^2 overflows) are invalid; at 0.99 the closed form
+    # cancels past its 1e-8 accuracy
     out = tmp_path / "x.csv"
-    for delta in ("-1", "0.99"):
+    for delta in ("-1", "1e160", "0.99"):
         rc = main(["closed-form", "--delta", delta, "--out", str(out)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--preset", "A2", "--steps", "5", "--step", "0"],
+        ["eme-simulate", "--preset", "A1", "--step", "nan"],
+    ],
+    ids=["zero-step", "nan-step"],
+)
+def test_invalid_grid_step_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

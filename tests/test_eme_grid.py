@@ -12,6 +12,16 @@ def test_grid_validation():
         TransverseGrid(4, 20, 0.5, 0.5, 0.0, 0.0)
     with pytest.raises(InvalidSpecError):
         TransverseGrid(20, 20, 0.0, 0.5, 0.0, 0.0)
+    with pytest.raises(InvalidSpecError):
+        TransverseGrid(20, 20, 0.5, float("inf"), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.5, float("nan"), float("inf")])
+def test_centered_checks_steps_before_dividing(step):
+    with pytest.raises(InvalidSpecError, match="steps"):
+        TransverseGrid.centered(10.0, 10.0, step, 0.5)
+    with pytest.raises(InvalidSpecError, match="steps"):
+        TransverseGrid.centered(10.0, 10.0, 0.5, step)
 
 
 def test_centered_grid_symmetry():

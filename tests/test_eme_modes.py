@@ -122,6 +122,25 @@ def _assert_matches_reference(ms, profile, k):
         assert np.max(np.abs(mode.values - r)) < 1e-10
 
 
+@pytest.mark.parametrize("size", [9, 10], ids=["odd", "even"])
+def test_parity_bases_are_orthonormal_projections(size):
+    (eye, d, start), = modes_module._parity_bases(size, 0.5, False)
+    assert start == 0
+    assert np.array_equal(eye.toarray(), np.eye(size))
+    (p_even, d_even, even_start), (p_odd, d_odd, odd_start) = modes_module._parity_bases(
+        size, 0.5, True
+    )
+    basis = np.hstack([p_even.toarray(), p_odd.toarray()])
+    assert basis.shape == (size, size)
+    assert np.max(np.abs(basis.T @ basis - np.eye(size))) < 1e-15
+    for p, block, first, sign in ((p_even, d_even, even_start, 1), (p_odd, d_odd, odd_start, -1)):
+        p, block = p.toarray(), block.toarray()
+        assert first + p.shape[1] == size  # one column per kept point
+        assert np.array_equal(p[::-1], sign * p)  # mirror-even or mirror-odd columns
+        assert np.array_equal(block, block.T)
+        assert np.allclose(block, p.T @ d.toarray() @ p, rtol=0, atol=1e-14)
+
+
 @pytest.fixture
 def solved_sizes(monkeypatch):
     """Unknown counts of the operators handed to eigsh during a test."""

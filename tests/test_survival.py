@@ -255,6 +255,38 @@ def test_contour_domain_errors():
         c0_contour(0.5, 1.0, pole_convention="bogus")
 
 
+# every evaluator shares one delta check and one tau check: nan, inf and
+# negative tau, and delta <= 0, nan, inf or with 2 delta^2 past the float
+# range raise InvalidSpecError before any series or quadrature runs
+_EVALUATORS = {
+    "closed_form": c0_closed_form,
+    "series": survival_series,
+    "contour": c0_contour,
+}
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+def test_invalid_tau_raises(name, tau):
+    with pytest.raises(InvalidSpecError, match="tau"):
+        _EVALUATORS[name](0.5, tau)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+def test_invalid_tau_raises_in_branches(tau):
+    for call in (lambda: c0_critical(tau), lambda: s_less(tau, 0.5), lambda: s_greater(tau, 2.0)):
+        with pytest.raises(InvalidSpecError, match="tau"):
+            call()
+
+
+@pytest.mark.parametrize("delta", [0.0, math.nan, math.inf, 1e160, 1e154])
+@pytest.mark.parametrize("name", sorted(_EVALUATORS) + ["regime", "bound_states"])
+def test_invalid_delta_raises(name, delta):
+    fn = {"regime": regime_params, "bound_states": bound_state_energies}.get(name)
+    with pytest.raises(InvalidSpecError, match="delta"):
+        fn(delta) if fn else _EVALUATORS[name](delta, 1.0)
+
+
 # the unit circle stays clear of the poles as they merge into the origin at
 # delta = 1, so these inputs need no separate branch
 @pytest.mark.parametrize(
