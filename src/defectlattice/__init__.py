@@ -44,9 +44,7 @@ from .survival import (
 )
 from .finitesize import (
     DeviationSeries,
-    cumulative_deviation,
     deviation,
-    deviation_study,
     onset_time,
 )
 from .experiments import (
@@ -97,9 +95,7 @@ __all__ = [
     "s_less",
     "survival_series",
     "DeviationSeries",
-    "cumulative_deviation",
     "deviation",
-    "deviation_study",
     "onset_time",
     "ComparisonReport",
     "EmeConfig",

@@ -32,7 +32,7 @@ from .experiments import (
     preset_labels,
     run_eme,
 )
-from .finitesize import DEFAULT_N_REF, cumulative_deviation, deviation, onset_time
+from .finitesize import DEFAULT_N_REF, deviation, onset_time
 from .lattice import (
     LatticeSpec,
     TimeGrid,
@@ -126,13 +126,7 @@ def _cmd_propagate(args):
 
 def _cmd_finite_size(args):
     grid = TimeGrid.uniform(args.tau_max, args.steps)
-    ser = cumulative_deviation(
-        deviation(
-            LatticeSpec(n_sites=args.sites, delta=args.delta),
-            LatticeSpec(n_sites=args.ref_sites, delta=args.delta),
-            grid,
-        )
-    )
+    ser = deviation(args.delta, args.sites, grid, args.ref_sites)
     rows = [(grid.tau[i], ser.d_values[i], ser.c_values[i]) for i in range(len(grid))]
     write_csv(args.out, ["tau", "d_n", "c_n"], rows)
     if args.threshold is not None:

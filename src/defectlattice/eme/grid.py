@@ -65,6 +65,10 @@ class TransverseGrid:
     @staticmethod
     def centered(width: float, height: float, dx: float, dy: float) -> "TransverseGrid":
         """Grid spanning [-width/2, width/2] x [-height/2, height/2]."""
+        if not (0 < width < np.inf and 0 < height < np.inf):
+            raise InvalidSpecError(
+                f"grid width and height must be finite and > 0, got {width}, {height}"
+            )
         _check_steps(dx, dy)
         nx = int(round(width / dx)) + 1
         ny = int(round(height / dy)) + 1

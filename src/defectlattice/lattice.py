@@ -35,8 +35,8 @@ class LatticeSpec:
     def __post_init__(self):
         if self.n_sites < 2:
             raise InvalidSpecError(f"n_sites must be >= 2, got {self.n_sites}")
-        if not self.delta > 0:
-            raise InvalidSpecError(f"delta must be > 0, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise InvalidSpecError(f"delta must be finite and > 0, got {self.delta}")
 
 
 @dataclass(frozen=True)

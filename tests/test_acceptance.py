@@ -23,7 +23,6 @@ from defectlattice import (
     c0_contour,
     c0_critical,
     deviation,
-    cumulative_deviation,
     initial_state,
     pair_splitting_beta,
     preset,
@@ -130,6 +129,7 @@ def test_criterion_03_oracle_triangle():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the published C_10 magnitude is inconsistent with the deviation definitions; the "
     "faithful computation gives 1.1e-4 / 4.2e-4 / 5.2e-4 for the three "
     "ratios, above the 1e-4 band top",
@@ -139,9 +139,7 @@ def test_criterion_04_finite_size_band():
     grid = TimeGrid.uniform(4.0, 400)
     values = {}
     for delta in (0.474, 1.0, 4.17):
-        ser = cumulative_deviation(
-            deviation(LatticeSpec(10, delta=delta), LatticeSpec(600, delta=delta), grid)
-        )
+        ser = deviation(delta, 10, grid)
         values[delta] = float(ser.c_values[-1])
     elapsed = time.time() - t0
     ok = all(1e-7 <= v <= 1e-4 for v in values.values()) and elapsed < 60.0
@@ -331,7 +329,7 @@ def test_criterion_11_unitarity_and_padding():
             tr = propagate(build_hamiltonian(LatticeSpec(n, delta=delta)), initial_state(n), grid)
             norms = np.sum(np.abs(tr.amplitudes) ** 2, axis=1)
             worst_norm = max(worst_norm, float(np.max(np.abs(norms - 1.0))))
-    ser = deviation(LatticeSpec(10, delta=1.0), LatticeSpec(600, delta=1.0), grid)
+    ser = deviation(1.0, 10, grid)
     d_ok = ser.d_values[0] == 0.0 and np.all(ser.d_values >= 0.0) and np.all(ser.d_values <= 1.0)
     elapsed = time.time() - t0
     ok = worst_norm < 1e-10 and d_ok

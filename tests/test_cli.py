@@ -82,13 +82,17 @@ def test_domain_error_exits_1(tmp_path, capsys):
     [
         ["compare", "--preset", "A2", "--steps", "5", "--step", "0"],
         ["eme-simulate", "--preset", "A1", "--step", "nan"],
+        ["eme-simulate", "--preset", "A1", "--margin", "nan"],
+        ["eme-simulate", "--preset", "A1", "--margin", "-5"],
     ],
-    ids=["zero-step", "nan-step"],
+    ids=["zero-step", "nan-step", "nan-margin", "negative-margin"],
 )
 def test_invalid_grid_step_exits_1(tmp_path, capsys, argv):
     out = tmp_path / "out.txt"
     assert main([*argv, "--out", str(out)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "step" in err or "width and height" in err
     assert not out.exists()
 
 

@@ -30,6 +30,8 @@ def test_spec_validation():
         LatticeSpec(1)
     with pytest.raises(InvalidSpecError):
         LatticeSpec(5, delta=-0.1)
+    with pytest.raises(InvalidSpecError, match="delta"):
+        LatticeSpec(5, delta=float("inf"))
 
 
 def test_grid_validation():
