@@ -125,6 +125,8 @@ def _cmd_propagate(args):
 
 
 def _cmd_finite_size(args):
+    if args.threshold is not None and not args.threshold > 0:
+        raise errors.InsufficientDataError(f"threshold must be > 0, got {args.threshold}")
     grid = TimeGrid.uniform(args.tau_max, args.steps)
     ser = deviation(args.delta, args.sites, grid, args.ref_sites)
     rows = [(grid.tau[i], ser.d_values[i], ser.c_values[i]) for i in range(len(grid))]

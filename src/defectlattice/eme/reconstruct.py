@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 from ..errors import (
     DegenerateInputError,
@@ -168,6 +166,9 @@ def _refine_minimum(coord: np.ndarray, cut: np.ndarray, idx: int) -> float:
     ok = np.isfinite(window_v)
     if ok.sum() < 4:
         return float(coord[idx])
+    # imported here, not at the top: they take ~0.3 s to load and only a fit uses them
+    from scipy.interpolate import CubicSpline
+    from scipy.optimize import minimize_scalar
     spline = CubicSpline(window_x[ok], window_v[ok])
     res = minimize_scalar(
         spline, bounds=(float(window_x[ok][0]), float(window_x[ok][-1])), method="bounded"
@@ -254,6 +255,7 @@ def fit_ricker(
             return 0.0
         return mode_fidelity(cand.modes[0], mode)
 
+    from scipy.optimize import minimize_scalar
     # wide bracket: under noise the reconstructed peak can be off by tens
     # of percent, and fidelity is unimodal in the contrast anyway
     res = minimize_scalar(

@@ -79,7 +79,7 @@ def _running_mean(tau: np.ndarray, d: np.ndarray) -> np.ndarray:
 def onset_time(series: DeviationSeries, threshold: float) -> float | None:
     """First tau with D_N > threshold, linearly interpolated; None if never."""
     if not threshold > 0:
-        raise InsufficientDataError("threshold must be > 0")
+        raise InsufficientDataError(f"threshold must be > 0, got {threshold}")
     d = series.d_values
     tau = series.grid.tau
     above = d > threshold

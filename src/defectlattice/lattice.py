@@ -62,6 +62,8 @@ class TimeGrid:
 
     @staticmethod
     def uniform(tau_max: float, n_points: int) -> "TimeGrid":
+        if not 0.0 < tau_max < np.inf:
+            raise InvalidSpecError(f"tau_max must be finite and > 0, got {tau_max}")
         return TimeGrid(np.linspace(0.0, tau_max, n_points))
 
 

@@ -68,13 +68,22 @@ def test_unknown_subcommand_exits_2():
 
 def test_domain_error_exits_1(tmp_path, capsys):
     # -1 and 1e160 (2 delta^2 overflows) are invalid; at 0.99 the closed form
-    # cancels past its 1e-8 accuracy
+    # cancels past its 1e-8 accuracy.  The tau axis and the onset threshold
+    # are checked before anything is computed or written.
     out = tmp_path / "x.csv"
-    for delta in ("-1", "1e160", "0.99"):
-        rc = main(["closed-form", "--delta", delta, "--out", str(out)])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
+    cases = [(["closed-form", "--delta", delta], "error:") for delta in ("-1", "1e160", "0.99")]
+    for tau_max in ("0", "-1", "nan", "inf"):
+        for cmd in (["closed-form"], ["propagate", "--sites", "10"], ["finite-size", "--sites", "10"]):
+            cases.append(([*cmd, "--delta", "1", "--tau-max", tau_max],
+                          f"tau_max must be finite and > 0, got {float(tau_max)}"))
+    for threshold in ("0", "-1", "nan"):
+        cases.append((["finite-size", "--sites", "10", "--delta", "1", "--threshold", threshold],
+                       f"threshold must be > 0, got {float(threshold)}"))
+    for argv, message in cases:
+        rc = main([*argv, "--out", str(out)])
+        assert rc == 1, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,14 @@
 """Index inversion and Ricker fitting on synthetic modes."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import defectlattice
 from defectlattice import InvalidSpecError, SigmaExtractionError
 from defectlattice.eme import (
     Field,
@@ -112,3 +118,34 @@ def test_fit_residual_pointwise(synthetic):
     refit = solve_modes(ricker_profile(params, GRID), LAM, 1).modes[0]
     resid = np.max(np.abs(refit.values - mode.values)) / mode.values.max()
     assert resid < 2.4e-4  # quoted reconstruction-quality bound
+
+
+_LAZY_IMPORTS_SCRIPT = """
+import sys
+from defectlattice.cli import main
+from defectlattice.eme import RickerParams, TransverseGrid, fit_ricker, ricker_profile, solve_modes
+
+def loaded():
+    return [name in sys.modules for name in ("scipy.interpolate", "scipy.optimize")]
+
+assert main(["closed-form", "--delta", "1", "--steps", "11", "--out", sys.argv[1]]) == 0
+print(loaded())
+grid = TransverseGrid.centered(60.0, 60.0, 0.5, 0.5)
+ms = solve_modes(ricker_profile(RickerParams(3e-3, 4.0, 4.0, 1.457), grid), 0.633, 1,
+                 check_edges=False)
+fit_ricker(ms.modes[0], 0.633, 1.457)
+print(loaded())
+"""
+
+
+def test_fit_modules_load_only_when_a_fit_runs(tmp_path):
+    # a fresh interpreter, so modules other tests imported do not count
+    src = str(pathlib.Path(defectlattice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORTS_SCRIPT, str(tmp_path / "c0.csv")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[False, False]", "[True, True]"]

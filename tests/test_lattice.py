@@ -41,6 +41,9 @@ def test_grid_validation():
         TimeGrid(np.array([-1.0, 0.0]))
     with pytest.raises(InvalidSpecError):
         TimeGrid(np.array([]))
+    for tau_max in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidSpecError, match="tau_max"):
+            TimeGrid.uniform(tau_max, 5)
 
 
 def test_initial_state():
