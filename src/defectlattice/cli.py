@@ -62,6 +62,8 @@ _DOMAIN_ERRORS = (
     OSError,
 )
 
+_TAU_LABEL = "tau = beta z"
+
 
 def _write_json(path: str, payload: dict) -> None:
     with atomic_write(path) as fh:
@@ -82,24 +84,30 @@ def _steps(text: str) -> int:
 
 # ---------------------------------------------------------------- commands
 
+def _write_table(args, columns: dict, series=(), y_label="", title="", log_y=False):
+    """Write ``columns`` (CSV header -> values, ``tau`` first) to ``--out``.
+    Before that, if ``--svg`` was given, chart ``series`` there: (legend,
+    column header) pairs over tau.  A chart that cannot be drawn thus fails
+    the command before any file is written."""
+    if series and args.svg:
+        lines = [(name, columns["tau"], columns[key]) for name, key in series]
+        line_chart(args.svg, lines, _TAU_LABEL, y_label, title, log_y)
+    write_csv(args.out, list(columns), zip(*columns.values()))
+
+
 def _cmd_closed_form(args):
     grid = TimeGrid.uniform(args.tau_max, args.steps)
     c0 = np.array([c0_closed_form(args.delta, t, mode=args.mode) for t in grid.tau])
     prob = np.abs(c0) ** 2
-    rate = effective_decay_rate(prob, grid)
-    rows = [
-        (grid.tau[i], c0[i].real, c0[i].imag, prob[i], rate[i])
-        for i in range(len(grid))
-    ]
-    write_csv(args.out, ["tau", "re_c0", "im_c0", "prob", "gamma_eff"], rows)
-    if args.svg:
-        line_chart(
-            args.svg,
-            [("|c0|^2", list(grid.tau), list(prob))],
-            "tau = beta z",
-            "survival probability",
-            title=f"closed form, delta={args.delta}",
-        )
+    columns = {
+        "tau": grid.tau,
+        "re_c0": c0.real,
+        "im_c0": c0.imag,
+        "prob": prob,
+        "gamma_eff": effective_decay_rate(prob, grid),
+    }
+    _write_table(args, columns, [("|c0|^2", "prob")], "survival probability",
+                 f"closed form, delta={args.delta}")
     return 0
 
 
@@ -110,17 +118,9 @@ def _cmd_propagate(args):
     grid = TimeGrid.uniform(args.tau_max, args.steps)
     trace = propagate(build_hamiltonian(spec), initial_state(spec.n_sites), grid)
     probs = site_probabilities(trace)
-    header = ["tau"] + [f"prob_site_{i}" for i in range(spec.n_sites)]
-    rows = [(grid.tau[i], *probs[i]) for i in range(len(grid))]
-    write_csv(args.out, header, rows)
-    if args.svg:
-        line_chart(
-            args.svg,
-            [("site 0", list(grid.tau), list(probs[:, 0]))],
-            "tau = beta z",
-            "site probability",
-            title=f"N={spec.n_sites}, delta={spec.delta}",
-        )
+    columns = {"tau": grid.tau, **{f"prob_site_{i}": p for i, p in enumerate(probs.T)}}
+    _write_table(args, columns, [("site 0", "prob_site_0")], "site probability",
+                 f"N={spec.n_sites}, delta={spec.delta}")
     return 0
 
 
@@ -129,23 +129,12 @@ def _cmd_finite_size(args):
         raise errors.InsufficientDataError(f"threshold must be > 0, got {args.threshold}")
     grid = TimeGrid.uniform(args.tau_max, args.steps)
     ser = deviation(args.delta, args.sites, grid, args.ref_sites)
-    rows = [(grid.tau[i], ser.d_values[i], ser.c_values[i]) for i in range(len(grid))]
-    write_csv(args.out, ["tau", "d_n", "c_n"], rows)
+    columns = {"tau": grid.tau, "d_n": ser.d_values, "c_n": ser.c_values}
+    _write_table(args, columns, [("D_N", "d_n"), ("C_N", "c_n")], "deviation",
+                 f"N={args.sites} vs {args.ref_sites}, delta={args.delta}", log_y=True)
     if args.threshold is not None:
         t = onset_time(ser, args.threshold)
         print("" if t is None else format(t, ".17g"))
-    if args.svg:
-        line_chart(
-            args.svg,
-            [
-                ("D_N", list(grid.tau), list(ser.d_values)),
-                ("C_N", list(grid.tau), list(ser.c_values)),
-            ],
-            "tau = beta z",
-            "deviation",
-            title=f"N={args.sites} vs {args.ref_sites}, delta={args.delta}",
-            log_y=True,
-        )
     return 0
 
 
@@ -155,14 +144,10 @@ def _eme_config_from(args) -> EmeConfig:
 
 def _cmd_eme_simulate(args):
     exp = preset(args.preset)
-    grid = TimeGrid.uniform(min(args.tau_max, exp.tau_max), args.steps)
+    grid = TimeGrid.uniform(args.tau_max, args.steps)
     run = run_eme(exp, grid, _eme_config_from(args), coherent=args.coherent)
-    header = ["tau", "z_cm"] + [f"c2_site_{i}" for i in range(exp.n_sites)]
-    rows = [
-        (grid.tau[i], grid.tau[i] / run.beta_fit, *run.site_probs[i])
-        for i in range(len(grid))
-    ]
-    write_csv(args.out, header, rows)
+    sites = {f"c2_site_{i}": p for i, p in enumerate(run.site_probs.T)}
+    _write_table(args, {"tau": grid.tau, "z_cm": grid.tau / run.beta_fit, **sites})
     if args.calibration_out:
         _write_json(
             args.calibration_out,
@@ -209,21 +194,16 @@ def _cmd_compare(args):
     exp = preset(args.preset)
     grid = TimeGrid.uniform(exp.tau_max, args.steps)
     report = compare_models(exp, grid, _eme_config_from(args), include_eme=not args.skip_eme)
-    _write_json(args.out, report.to_json_dict())
     if args.svg:
         series = [
-            ("closed form", list(report.tau), list(report.closed_form_prob0)),
-            ("coupled mode", list(report.tau), list(report.coupled_probs[:, 0])),
+            ("closed form", report.tau, report.closed_form_prob0),
+            ("coupled mode", report.tau, report.coupled_probs[:, 0]),
         ]
         if report.eme is not None:
-            series.append(("EME", list(report.tau), list(report.eme.site_probs[:, 0])))
-        line_chart(
-            args.svg,
-            series,
-            "tau = beta z",
-            "survival probability |c0|^2",
-            title=f"preset {exp.label}",
-        )
+            series.append(("EME", report.tau, report.eme.site_probs[:, 0]))
+        line_chart(args.svg, series, _TAU_LABEL, "survival probability |c0|^2",
+                   f"preset {exp.label}")
+    _write_json(args.out, report.to_json_dict())
     return 0
 
 

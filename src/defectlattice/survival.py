@@ -13,8 +13,9 @@ tau = beta*z with beta = 1:
       c0(tau) = J_0(2 tau) + sum_{k>=1} (c^k + c^{k-1}) J_{2k}(2 tau),
       c = 1 - delta^2,
 
-  valid in every regime and the best conditioned evaluator near
-  delta = 1.
+  valid in every regime.  Near delta = 1 it is as well conditioned as
+  :func:`c0_contour`, the evaluator to use there, which also covers
+  delta >~ 4.9, where this series raises.
 
 The three Bessel series are weight arrays for one kernel,
 :func:`_bessel_sum`.  Domains: the series (and :func:`c0_closed_form`)
@@ -269,7 +270,7 @@ def c0_closed_form(delta: float, tau: float, mode: str = "reconciled") -> comple
     Domain: reconciled values are within 1e-8 of the exact amplitude (the
     delta = 1 branch, used within 5e-9 of it, is off by <= 6.7e-9); near
     delta = 1, where A cancels against the correction series, S_< / S_>
-    raise SeriesDivergenceError (survival_series and c0_contour cover that band).
+    raise SeriesDivergenceError (c0_contour and survival_series cover that band).
     """
     _check_variant(mode)
     params = regime_params(delta)

@@ -146,11 +146,13 @@ def test_uncoupled_guides_exit_1(tmp_path, capsys):
 
 def test_closed_form_csv(tmp_path):
     out = tmp_path / "c0.csv"
+    svg = tmp_path / "c0.svg"
     rc = main([
         "closed-form", "--delta", "1.0", "--tau-max", "4", "--steps", "400",
-        "--out", str(out),
+        "--out", str(out), "--svg", str(svg),
     ])
     assert rc == 0
+    assert svg.read_text().startswith("<svg")
     header, rows = read_csv(str(out))
     assert header == ["tau", "re_c0", "im_c0", "prob", "gamma_eff"]
     assert len(rows) == 400
@@ -204,6 +206,24 @@ def test_finite_size_csv_and_svg(tmp_path):
     assert "tau = beta z" in text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--delta", "0.1", "--steps", "2", "--tau-max", "0.001"],
+        ["--ref-sites", "10", "--delta", "4.17"],
+    ],
+    ids=["tiny-tau", "same-chain"],
+)
+def test_finite_size_chart_error_writes_nothing(tmp_path, capsys, argv):
+    # D_N and C_N have no positive value for the log chart; the chart is
+    # drawn before the table, so neither file is left behind
+    out, svg = tmp_path / "w.csv", tmp_path / "w.svg"
+    rc = main(["finite-size", "--sites", "10", *argv, "--out", str(out), "--svg", str(svg)])
+    assert rc == 1
+    assert "nothing to plot" in capsys.readouterr().err
+    assert not out.exists() and not svg.exists()
+
+
 def test_finite_size_onset_printed(tmp_path, capsys):
     rc = main(["finite-size", "--sites", "10", "--delta", "1.0", "--tau-max", "4",
                "--threshold", "1e-6", "--out", str(tmp_path / "d.csv")])
@@ -230,6 +250,16 @@ def test_eme_simulate_cli(tmp_path, flags):
     assert payload["delta_fit"] == pytest.approx(1.0, abs=1e-6)  # uniform gaps
 
 
+def test_eme_simulate_tau_max_beyond_preset(tmp_path):
+    # A2's preset range ends at tau = 4; eme-simulate uses the range asked for
+    out = tmp_path / "e.csv"
+    rc = main(["eme-simulate", "--preset", "A2", "--tau-max", "10", "--steps", "3",
+               "--step", "2", "--out", str(out)])
+    assert rc == 0
+    _, rows = read_csv(str(out))
+    assert [row[0] for row in rows] == [0.0, 5.0, 10.0]
+
+
 def test_preset_json(capsys):
     rc = main(["preset", "A3", "--json"])
     assert rc == 0
@@ -239,6 +269,12 @@ def test_preset_json(capsys):
     assert payload["beta0_per_cm"] == 0.800
     assert payload["beta_per_cm"] == 0.192
     assert payload["delta"] == 4.17
+
+
+def test_preset_plain(capsys):
+    assert main(["preset", "A3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "delta=4.17" in lines and "n_sites=10" in lines
 
 
 def test_compare_without_eme(tmp_path):
@@ -281,9 +317,13 @@ def test_config_file_merging(tmp_path):
         (["compare", "--out", "x.csv"], {"preset": "A2", "delta": 1.05}),
         (["closed-form", "--out", "x.csv"], {"delta": 1.0, "tau": 2}),
         (["closed-form", "--out", "x.csv"], {"delta": 1.0, "steps": 1}),
+        # false adds no flag, but the key must still name an option
+        (["closed-form", "--out", "x.csv"], {"delta": 1.0, "bogus": False}),
+        (["closed-form", "--out", "x.csv"], [{"delta": 1.0}]),
     ],
     ids=["unknown-key", "bad-type", "bad-choice", "config-key", "label-key",
-         "prefix-key", "prefix-key-unique", "steps-below-2"],
+         "prefix-key", "prefix-key-unique", "steps-below-2", "unknown-key-false",
+         "not-an-object"],
 )
 def test_config_unknown_key_exits_2(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)
