@@ -17,7 +17,12 @@ at the domain edge) plus k0^2 n^2 on the block's kept points, and P maps
 its eigenvectors back to the full grid.  A profile symmetric in x and y
 thus splits into four blocks on the quarter domain, one symmetric in y
 only into two on the half, and any other profile is a single block, the
-full grid.  Every block eigenvalue is a full-grid eigenvalue.
+full grid.  Every block eigenvalue is a full-grid eigenvalue.  The
+Kronecker-sum Laplacian of a block depends only on the grid, so it is
+built once and kept in a small cache; a block operator is a copy of it
+with k0^2 n^2 added on the diagonal, and every shifted matrix the solver
+factors (A - shift*I below) is a further copy with the shift subtracted
+from that diagonal.
 
 Which blocks are solved.  For k = 1 only the all-even block: the
 operator's off-diagonal entries are non-negative and connect the whole
@@ -112,25 +117,60 @@ def _parity_bases(size: int, h: float, symmetric: bool) -> tuple:
     return tuple(blocks)
 
 
+def _diagonal_slots(M: sp.csc_matrix) -> np.ndarray:
+    """Positions in M.data of the diagonal entries M[j, j], j ascending, for
+    a canonical CSC matrix that stores its whole diagonal."""
+    return np.flatnonzero(M.indices == np.repeat(np.arange(M.shape[1]), np.diff(M.indptr)))
+
+
+def _axis_block(axis: tuple) -> tuple:
+    """(P, P^T D P, first kept index) of axis = (size, step, symmetric, block index)."""
+    size, h, symmetric, block = axis
+    return _parity_bases(size, h, symmetric)[block]
+
+
+@lru_cache(maxsize=2)
+def _laplacian(x: tuple, y: tuple) -> tuple:
+    """(Kronecker-sum Laplacian of one parity block as canonical CSC, y-fast
+    ordering; the positions of its diagonal entries in .data), x and y as for
+    _axis_block.  Every solve on the grid shares it, so it is never written."""
+    (_, dx, _), (_, dy, _) = _axis_block(x), _axis_block(y)
+    lap = sp.kronsum(dy, dx, format="csc")
+    return lap, _diagonal_slots(lap)
+
+
 def _operator(profile: IndexProfile, k0: float, x: tuple, y: tuple) -> sp.csc_matrix:
-    """[lap + k0^2 n^2] on the (x, y) parity block of the profile, y-fast ordering."""
-    (_, dx, x0), (_, dy, y0) = x, y
-    n = profile.n[y0:, x0:]
+    """[lap + k0^2 n^2] on the (x, y) parity block of the profile, y-fast
+    ordering; x and y as for _axis_block."""
+    lap, slots = _laplacian(x, y)
+    (_, _, x0), (_, _, y0) = _axis_block(x), _axis_block(y)
+    A = lap.copy()
     # unknown index = ix*ny + iy keeps the small dimension contiguous
-    return sp.kronsum(dy, dx, format="csc") + sp.diags(k0 ** 2 * n.T.ravel() ** 2, format="csc")
+    A.data[slots] += k0 ** 2 * profile.n[y0:, x0:].T.ravel() ** 2
+    return A
+
+
+def _wavenumber(wavelength: float) -> float:
+    """k0 = 2 pi / wavelength; InvalidSpecError unless the wavelength is finite and > 0."""
+    if not (np.isfinite(wavelength) and wavelength > 0):
+        raise InvalidSpecError(f"wavelength must be finite and > 0, got {wavelength}")
+    return 2.0 * np.pi / wavelength
 
 
 def helmholtz_matrix(profile: IndexProfile, wavelength: float) -> sp.csc_matrix:
     """Sparse 5-point [lap + k0^2 n^2] with Dirichlet boundary, y-fast ordering."""
     g = profile.grid
-    (x,), (y,) = _parity_bases(g.nx, g.dx, False), _parity_bases(g.ny, g.dy, False)
-    return _operator(profile, 2.0 * np.pi / wavelength, x, y)
+    k0 = _wavenumber(wavelength)
+    return _operator(profile, k0, (g.nx, g.dx, False, 0), (g.ny, g.dy, False, 0))
 
 
 def _factor(A: sp.csc_matrix, shift: float):
-    """Symmetric-mode LU of A - shift*I: minimum-degree ordering, no pivoting."""
+    """Symmetric-mode LU of A - shift*I: minimum-degree ordering, no pivoting.
+    A is a canonical CSC matrix with its whole diagonal stored (see _operator)."""
+    shifted = A.copy()
+    shifted.data[_diagonal_slots(shifted)] -= shift
     return splu(
-        (A - shift * sp.identity(A.shape[0], format="csc")).tocsc(),
+        shifted,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
@@ -172,8 +212,9 @@ def _block_eigenpairs(
     """Eigenpairs from the parity blocks as (values, (m, ny, nx) full-grid
     vectors); they include the top k (see the module docstring)."""
     g, n = profile.grid, profile.n
-    xs = _parity_bases(g.nx, g.dx, np.array_equal(n, n[:, ::-1]))
-    ys = _parity_bases(g.ny, g.dy, np.array_equal(n, n[::-1]))
+    x = (g.nx, g.dx, np.array_equal(n, n[:, ::-1]))
+    y = (g.ny, g.dy, np.array_equal(n, n[::-1]))
+    xs, ys = _parity_bases(*x), _parity_bases(*y)
     blocks = [(ix, iy) for iy in range(len(ys)) for ix in range(len(xs))]
     if k == 1:
         blocks = blocks[:1]  # all-even: holds the top mode (Perron-Frobenius)
@@ -185,7 +226,7 @@ def _block_eigenpairs(
             counts[ix, iy] = 0  # tops out below a block that binds nothing
             continue
         (px, _, x0), (py, _, y0) = xs[ix], ys[iy]
-        A = _operator(profile, k0, xs[ix], ys[iy])
+        A = _operator(profile, k0, (*x, ix), (*y, iy))
         counts[ix, iy] = 1 if k == 1 else _count_above(A, t, unknown=k)
         want = min(counts[ix, iy], k, A.shape[0] - 2)
         if want < 1:
@@ -208,10 +249,8 @@ def solve_modes(
     """
     if n_modes < 1:
         raise InvalidSpecError("n_modes must be >= 1")
-    if not wavelength > 0:
-        raise InvalidSpecError("wavelength must be > 0")
+    k0 = _wavenumber(wavelength)
     g = profile.grid
-    k0 = 2.0 * np.pi / wavelength
     k = min(n_modes, g.nx * g.ny - 2)
     sigma = k0 ** 2 * float(profile.n.max()) ** 2 * (1.0 + 1e-9) + 1e-9
 

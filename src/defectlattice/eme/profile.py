@@ -30,10 +30,10 @@ class RickerParams:
     n0: float
 
     def __post_init__(self):
-        if not self.delta_n > 0:
-            raise InvalidSpecError("delta_n must be > 0")
-        if not (self.sigma_x > 0 and self.sigma_y > 0):
-            raise InvalidSpecError("sigma_x and sigma_y must be > 0")
+        for name in ("delta_n", "sigma_x", "sigma_y", "n0"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InvalidSpecError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from ..errors import (
     SigmaExtractionError,
 )
 from .grid import Field, TransverseGrid
-from .modes import solve_modes
+from .modes import _wavenumber, solve_modes
 from .profile import RickerParams, ricker_profile
 from .propagate import mode_fidelity
 
@@ -92,7 +92,7 @@ def reconstruct_index(
     if peak <= 0.0:
         raise DegenerateInputError("mode is identically zero")
     g = mode.grid
-    k0 = 2.0 * np.pi / wavelength
+    k0 = _wavenumber(wavelength)
     k2 = (k0 * n_eff) ** 2
 
     lap = _laplacian(psi, g)
@@ -133,7 +133,7 @@ def implied_n_eff(mode: Field, wavelength: float, n0: float) -> float:
     if peak <= 0.0:
         raise DegenerateInputError("mode is identically zero")
     g = mode.grid
-    k0 = 2.0 * np.pi / wavelength
+    k0 = _wavenumber(wavelength)
     smooth = _box3(_box3(psi))
     lap = _laplacian(smooth, g)
     s_peak = float(smooth.max())

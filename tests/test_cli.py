@@ -106,6 +106,25 @@ def test_invalid_grid_step_exits_1(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--delta-n", "inf", "delta_n must be finite and > 0, got inf"),
+        ("--sigma-x", "nan", "sigma_x must be finite and > 0, got nan"),
+        ("--n0", "-1", "n0 must be finite and > 0, got -1.0"),
+        ("--wavelength", "inf", "wavelength must be finite and > 0, got inf"),
+        ("--wavelength", "0", "wavelength must be finite and > 0, got 0.0"),
+    ],
+)
+def test_invalid_optical_input_exits_1(tmp_path, capsys, flag, value, message):
+    # rejected before any mode solve, with no numpy warning (an error here)
+    out, cal = tmp_path / "sim.csv", tmp_path / "cal.json"
+    argv = ["eme-simulate", "--preset", "A2", flag, value, "--calibration-out", str(cal)]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not cal.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["closed-form", "--delta", "1", "--out", "DIR"],
@@ -397,6 +416,15 @@ def test_eme_fit_cli(mode_file, tmp_path):
     assert payload["delta_n"] == pytest.approx(3e-3, rel=0.05)
     assert payload["sigma_x"] == pytest.approx(4.0, rel=0.05)
     assert payload["fidelity"] > 0.99
+
+
+@pytest.mark.parametrize("wavelength", ["0", "inf", "nan"])
+def test_eme_fit_invalid_wavelength_exits_1(mode_file, tmp_path, capsys, wavelength):
+    out = tmp_path / "fit.json"
+    argv = ["eme-fit", "--mode-file", str(mode_file), "--wavelength", wavelength]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"wavelength must be finite and > 0, got {float(wavelength)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _readme_cli_lines():

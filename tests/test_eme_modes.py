@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
 
 import defectlattice.eme.modes as modes_module
-from defectlattice import GeometryError
+from defectlattice import GeometryError, InvalidSpecError
 from defectlattice.eme import (
     RickerParams,
     TransverseGrid,
@@ -249,3 +250,113 @@ def test_off_centre_guide_solves_on_full_grid(solved_sizes):
     ms = solve_modes(profile, LAM, 1)
     assert solved_sizes == [grid.nx * grid.ny]
     _assert_matches_reference(ms, profile, 1)
+
+
+@pytest.mark.parametrize("wavelength", [0.0, -1.0, np.inf, np.nan])
+def test_invalid_wavelength_raises(wavelength):
+    profile = ricker_profile(DESK, TransverseGrid.centered(20.0, 20.0, 1.0, 1.0))
+    message = f"wavelength must be finite and > 0, got {wavelength}"
+    with pytest.raises(InvalidSpecError, match=message):
+        helmholtz_matrix(profile, wavelength)
+    with pytest.raises(InvalidSpecError, match=message):
+        solve_modes(profile, wavelength, 1)
+
+
+def _same_bits(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("data", "indices", "indptr"))
+
+
+def _assert_same_modes(a, b):
+    assert np.array_equal(a.n_eff, b.n_eff)
+    assert len(a.modes) == len(b.modes)
+    for ma, mb in zip(a.modes, b.modes):
+        assert np.array_equal(ma.values, mb.values)
+
+
+def test_cached_laplacian_is_never_written():
+    # one grid, three solves: profile a, then b (another dn), then a again
+    grid = TransverseGrid.centered(72.0, 72.0, 0.5, 0.5)
+    a = ricker_profile(DESK, grid)
+    b = ricker_profile(RickerParams(3.5e-3, 4.0, 4.0, N0), grid)
+    key = ((grid.nx, grid.dx, True, 0), (grid.ny, grid.dy, True, 0))  # the all-even quarter
+    modes_module._laplacian.cache_clear()
+    first = solve_modes(a, LAM, 1)
+    lap, _ = modes_module._laplacian(*key)
+    assert modes_module._laplacian.cache_info()[:2] == (1, 1)  # the solve built it
+    data = lap.data.copy()
+    b_warm = solve_modes(b, LAM, 1)
+    again = solve_modes(a, LAM, 1)
+    assert modes_module._laplacian(*key)[0] is lap
+    assert np.array_equal(lap.data, data)
+    _assert_same_modes(again, first)
+    modes_module._laplacian.cache_clear()
+    _assert_same_modes(b_warm, solve_modes(b, LAM, 1))
+    # the factored matrix is a copy too
+    A = modes_module._operator(a, 2.0 * np.pi / LAM, *key)
+    before = A.copy()
+    modes_module._factor(A, 1e3)
+    assert _same_bits(A, before)
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Copies of the matrices handed to splu during a test."""
+    matrices = []
+
+    def spy(A, *args, **kw):
+        matrices.append(A.copy())
+        return splu(A, *args, **kw)
+
+    monkeypatch.setattr(modes_module, "splu", spy)
+    return matrices
+
+
+@pytest.mark.parametrize(
+    "center, symmetric, n_blocks",
+    [((0.0, 0.0), (True, True), 4), ((3.0, 0.0), (False, True), 2), ((3.0, 5.25), (False, False), 1)],
+    ids=["quarter", "half", "full"],
+)
+def test_operator_bits_match_direct_construction(center, symmetric, n_blocks, factored):
+    # the block operators and the shifted matrices factored for them carry
+    # the bits of a direct Kronecker-sum construction, so the LU ordering,
+    # the inertia counts and ARPACK see exactly the same input
+    grid = TransverseGrid.centered(72.0, 61.0, 1.0, 1.0)  # odd nx, even ny
+    profile = ricker_profile(DESK, grid, center=center)
+    k0 = 2.0 * np.pi / LAM
+    axes = ((grid.nx, grid.dx, symmetric[0]), (grid.ny, grid.dy, symmetric[1]))
+    assert symmetric == (
+        np.array_equal(profile.n, profile.n[:, ::-1]),
+        np.array_equal(profile.n, profile.n[::-1]),
+    )
+
+    plain_x, = modes_module._parity_bases(grid.nx, grid.dx, False)
+    plain_y, = modes_module._parity_bases(grid.ny, grid.dy, False)
+
+    def direct(x_block, y_block):
+        (px, _, x0), (py, _, y0), dx, dy = x_block, y_block, plain_x[1], plain_y[1]
+        n2 = k0 ** 2 * profile.n[y0:, x0:].T.ravel() ** 2
+        return sp.kronsum(py.T @ dy @ py, px.T @ dx @ px, format="csc") + sp.diags(n2, format="csc")
+
+    xs, ys = (modes_module._parity_bases(*axis) for axis in axes)
+    oracles = []
+    for iy, y_block in enumerate(ys):
+        for ix, x_block in enumerate(xs):
+            oracle = direct(x_block, y_block)
+            assert _same_bits(modes_module._operator(profile, k0, (*axes[0], ix), (*axes[1], iy)), oracle)
+            oracles.append(oracle)
+    assert len(oracles) == n_blocks
+    assert _same_bits(helmholtz_matrix(profile, LAM), direct(plain_x, plain_y))
+
+    ms = solve_modes(profile, LAM, 2, check_edges=False)
+    sigma = k0 ** 2 * float(profile.n.max()) ** 2 * (1.0 + 1e-9) + 1e-9
+    shifted = [
+        o - shift * sp.identity(o.shape[0], format="csc")
+        for o in oracles
+        for shift in (k0 ** 2 * N0 ** 2, sigma)
+    ]
+    assert ms.n_modes >= 1
+    # each factored matrix is one block's oracle minus a shift: the bound-mode
+    # count at k0^2 n0^2 or the solve at sigma, the all-even block first
+    matched = [[i for i, s in enumerate(shifted) if _same_bits(A, s)] for A in factored]
+    assert matched[:2] == [[0], [1]]
+    assert all(matched)

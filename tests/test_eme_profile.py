@@ -26,6 +26,13 @@ def test_params_validation():
         RickerParams(1e-3, -1.0, 4.0, 1.457)
 
 
+@pytest.mark.parametrize("field", ["delta_n", "sigma_x", "sigma_y", "n0"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+def test_params_must_be_finite_and_positive(field, value):
+    with pytest.raises(InvalidSpecError, match=f"{field} must be finite and > 0, got {value}"):
+        dataclasses.replace(P, **{field: value})
+
+
 def test_profile_landmarks():
     g = TransverseGrid.centered(40.0, 40.0, 0.25, 0.25)
     prof = ricker_profile(P, g)
