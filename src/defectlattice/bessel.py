@@ -39,8 +39,19 @@ def _start_order(l_max: int, x: float) -> int:
     return m + (m & 1)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; InvalidSpecError unless it is finite and integral."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidSpecError(f"{name} must be an integer, got {value}")
+
+
 def bessel_j_array(l_max: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_{l_max}(x) for x >= 0, via normalized downward recurrence."""
+    """J_0(x) .. J_{l_max}(x) for integral l_max >= 0 and x >= 0, by normalized downward recurrence."""
+    l_max = _integer(l_max, "l_max")
     if l_max < 0:
         raise InvalidSpecError(f"l_max must be >= 0, got {l_max}")
     if not math.isfinite(x) or x < 0.0:
@@ -77,8 +88,9 @@ def bessel_j_array(l_max: int, x: float) -> np.ndarray:
 
 
 def bessel_j(order: int, x: float) -> float:
-    """J_order(x) for integer order (may be negative), x >= 0."""
-    l = abs(int(order))
+    """J_order(x) for integral order (may be negative), x >= 0."""
+    order = _integer(order, "order")
+    l = abs(order)
     val = float(bessel_j_array(l, x)[l])
     if order < 0 and (l % 2) == 1:
         val = -val

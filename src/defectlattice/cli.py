@@ -163,11 +163,9 @@ def _cmd_eme_simulate(args):
 
 
 def _cmd_eme_reconstruct(args):
-    mode = read_field(args.mode_file)
-    n_eff = args.n_eff
-    if n_eff is None:
-        n_eff = implied_n_eff(mode.normalized(), args.wavelength, args.n0)
-    rec = reconstruct_index(mode.normalized(), n_eff, args.wavelength, args.floor)
+    mode = read_field(args.mode_file).normalized()
+    n_eff = implied_n_eff(mode, args.wavelength, args.n0) if args.n_eff is None else args.n_eff
+    rec = reconstruct_index(mode, n_eff, args.wavelength, args.floor)
     write_field(args.out, Field(rec.grid, rec.n))
     if rec.negative_count:
         print(f"negative radicand at {rec.negative_count} points (masked)", file=sys.stderr)

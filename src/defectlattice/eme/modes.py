@@ -17,12 +17,11 @@ at the domain edge) plus k0^2 n^2 on the block's kept points, and P maps
 its eigenvectors back to the full grid.  A profile symmetric in x and y
 thus splits into four blocks on the quarter domain, one symmetric in y
 only into two on the half, and any other profile is a single block, the
-full grid.  Every block eigenvalue is a full-grid eigenvalue.  The
-Kronecker-sum Laplacian of a block depends only on the grid, so it is
-built once and kept in a small cache; a block operator is a copy of it
-with k0^2 n^2 added on the diagonal, and every shifted matrix the solver
-factors (A - shift*I below) is a further copy with the shift subtracted
-from that diagonal.
+full grid.  Every block eigenvalue is a full-grid eigenvalue.  Each
+P^T D P is tridiagonal, so a block operator, and every shifted matrix the
+solver factors (A - shift*I below), is written out directly as five
+diagonals: offsets 0 and +-1 (the y neighbours) and +-ny (the x
+neighbours) in the y-fast ordering.  Only the axis bases are cached.
 
 Which blocks are solved.  For k = 1 only the all-even block: the
 operator's off-diagonal entries are non-negative and connect the whole
@@ -117,37 +116,21 @@ def _parity_bases(size: int, h: float, symmetric: bool) -> tuple:
     return tuple(blocks)
 
 
-def _diagonal_slots(M: sp.csc_matrix) -> np.ndarray:
-    """Positions in M.data of the diagonal entries M[j, j], j ascending, for
-    a canonical CSC matrix that stores its whole diagonal."""
-    return np.flatnonzero(M.indices == np.repeat(np.arange(M.shape[1]), np.diff(M.indptr)))
-
-
-def _axis_block(axis: tuple) -> tuple:
-    """(P, P^T D P, first kept index) of axis = (size, step, symmetric, block index)."""
-    size, h, symmetric, block = axis
-    return _parity_bases(size, h, symmetric)[block]
-
-
-@lru_cache(maxsize=2)
-def _laplacian(x: tuple, y: tuple) -> tuple:
-    """(Kronecker-sum Laplacian of one parity block as canonical CSC, y-fast
-    ordering; the positions of its diagonal entries in .data), x and y as for
-    _axis_block.  Every solve on the grid shares it, so it is never written."""
-    (_, dx, _), (_, dy, _) = _axis_block(x), _axis_block(y)
-    lap = sp.kronsum(dy, dx, format="csc")
-    return lap, _diagonal_slots(lap)
-
-
-def _operator(profile: IndexProfile, k0: float, x: tuple, y: tuple) -> sp.csc_matrix:
-    """[lap + k0^2 n^2] on the (x, y) parity block of the profile, y-fast
-    ordering; x and y as for _axis_block."""
-    lap, slots = _laplacian(x, y)
-    (_, _, x0), (_, _, y0) = _axis_block(x), _axis_block(y)
-    A = lap.copy()
+def _operator(profile: IndexProfile, k0: float, x: tuple, y: tuple,
+              shift: float = 0.0) -> sp.csc_matrix:
+    """[lap + k0^2 n^2 - shift*I] on the parity block of the profile whose
+    axis blocks x and y are records of _parity_bases, y-fast ordering."""
+    (_, dx, x0), (_, dy, y0) = x, y
+    nx, ny = dx.shape[0], dy.shape[0]
     # unknown index = ix*ny + iy keeps the small dimension contiguous
-    A.data[slots] += k0 ** 2 * profile.n[y0:, x0:].T.ravel() ** 2
-    return A
+    n2 = k0 ** 2 * profile.n[y0:, x0:].T.ravel() ** 2
+    # summed in this order, the diagonal has the bits of
+    # sp.kronsum(dy, dx) + sp.diags(n2) - shift*I
+    main = ((np.tile(dy.diagonal(), nx) + np.repeat(dx.diagonal(), ny)) + n2) - shift
+    # no y coupling across the end of a column (sp.diags stores no zeros)
+    y_off = [np.tile(np.append(dy.diagonal(j), 0.0), nx)[:-1] for j in (-1, 1)]
+    x_off = [np.repeat(dx.diagonal(j), ny) for j in (-1, 1)]
+    return sp.diags([x_off[0], y_off[0], main, y_off[1], x_off[1]], [-ny, -1, 0, 1, ny], format="csc")
 
 
 def _wavenumber(wavelength: float) -> float:
@@ -161,14 +144,13 @@ def helmholtz_matrix(profile: IndexProfile, wavelength: float) -> sp.csc_matrix:
     """Sparse 5-point [lap + k0^2 n^2] with Dirichlet boundary, y-fast ordering."""
     g = profile.grid
     k0 = _wavenumber(wavelength)
-    return _operator(profile, k0, (g.nx, g.dx, False, 0), (g.ny, g.dy, False, 0))
+    (x,), (y,) = _parity_bases(g.nx, g.dx, False), _parity_bases(g.ny, g.dy, False)
+    return _operator(profile, k0, x, y)
 
 
-def _factor(A: sp.csc_matrix, shift: float):
-    """Symmetric-mode LU of A - shift*I: minimum-degree ordering, no pivoting.
-    A is a canonical CSC matrix with its whole diagonal stored (see _operator)."""
-    shifted = A.copy()
-    shifted.data[_diagonal_slots(shifted)] -= shift
+def _factor(shifted: sp.csc_matrix):
+    """Symmetric-mode LU of a shifted matrix A - shift*I: minimum-degree
+    ordering, no pivoting."""
     return splu(
         shifted,
         permc_spec="MMD_AT_PLUS_A",
@@ -177,11 +159,11 @@ def _factor(A: sp.csc_matrix, shift: float):
     )
 
 
-def _count_above(A: sp.csc_matrix, t: float, unknown: int) -> int:
-    """Eigenvalues of A above t, from the LDL^T inertia of A - t*I; `unknown`
-    when the factorization cannot tell."""
+def _count_above(shifted: sp.csc_matrix, unknown: int) -> int:
+    """Eigenvalues of A above t, from the LDL^T inertia of shifted = A - t*I;
+    `unknown` when the factorization cannot tell."""
     try:
-        lu = _factor(A, t)
+        lu = _factor(shifted)
     except RuntimeError:  # exactly singular: t is an eigenvalue
         return unknown
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -189,13 +171,15 @@ def _count_above(A: sp.csc_matrix, t: float, unknown: int) -> int:
     return int(np.count_nonzero(lu.U.diagonal() > 0.0))
 
 
-def _top_eigenpairs(A: sp.csc_matrix, sigma: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k eigenpairs of A nearest sigma (shift-invert Lanczos), unsorted."""
-    n_tot = A.shape[0]
-    lu = _factor(A, sigma)
-    op_inv = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+def _top_eigenpairs(shifted: sp.csc_matrix, sigma: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k eigenpairs of A nearest sigma (shift-invert Lanczos), unsorted, from
+    shifted = A - sigma*I."""
+    n_tot = shifted.shape[0]
+    op_inv = LinearOperator(shifted.shape, matvec=_factor(shifted).solve, dtype=float)
+    # given sigma and OPinv (mode 'normal'), eigsh has no matvec and reads its
+    # first argument only for the shape and dtype, so A itself is not needed
     return eigsh(
-        A,
+        shifted,
         k=k,
         sigma=sigma,
         which="LM",
@@ -212,9 +196,8 @@ def _block_eigenpairs(
     """Eigenpairs from the parity blocks as (values, (m, ny, nx) full-grid
     vectors); they include the top k (see the module docstring)."""
     g, n = profile.grid, profile.n
-    x = (g.nx, g.dx, np.array_equal(n, n[:, ::-1]))
-    y = (g.ny, g.dy, np.array_equal(n, n[::-1]))
-    xs, ys = _parity_bases(*x), _parity_bases(*y)
+    xs = _parity_bases(g.nx, g.dx, np.array_equal(n, n[:, ::-1]))
+    ys = _parity_bases(g.ny, g.dy, np.array_equal(n, n[::-1]))
     blocks = [(ix, iy) for iy in range(len(ys)) for ix in range(len(xs))]
     if k == 1:
         blocks = blocks[:1]  # all-even: holds the top mode (Perron-Frobenius)
@@ -225,13 +208,13 @@ def _block_eigenpairs(
         if counts.get((0, iy)) == 0 or counts.get((ix, 0)) == 0:
             counts[ix, iy] = 0  # tops out below a block that binds nothing
             continue
-        (px, _, x0), (py, _, y0) = xs[ix], ys[iy]
-        A = _operator(profile, k0, (*x, ix), (*y, iy))
-        counts[ix, iy] = 1 if k == 1 else _count_above(A, t, unknown=k)
-        want = min(counts[ix, iy], k, A.shape[0] - 2)
+        x, y = xs[ix], ys[iy]
+        (px, _, x0), (py, _, y0) = x, y
+        counts[ix, iy] = 1 if k == 1 else _count_above(_operator(profile, k0, x, y, t), unknown=k)
+        want = min(counts[ix, iy], k, (g.nx - x0) * (g.ny - y0) - 2)
         if want < 1:
             continue
-        w, v = _top_eigenpairs(A, sigma, want)
+        w, v = _top_eigenpairs(_operator(profile, k0, x, y, sigma), sigma, want)
         block = v.T.reshape(want, g.nx - x0, g.ny - y0).transpose(0, 2, 1)
         vals.append(w)
         fields.append(np.stack([py @ b @ px.T for b in block]))

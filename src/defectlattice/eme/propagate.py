@@ -50,11 +50,12 @@ def propagate_eme(modes: ModeSet, input_field: Field, z_list_cm) -> list[Field]:
     """field(z) = sum_k a_k psi_k exp(i (2 pi / lambda) n_eff_k z).
 
     Power in the modal subspace, sum |a_k|^2, is conserved exactly (the
-    evolution is a pure phase per mode).
+    evolution is a pure phase per mode).  Every z must be finite and >= 0.
     """
     z_arr = np.atleast_1d(np.asarray(z_list_cm, dtype=float))
-    if np.any(z_arr < 0):
-        raise InvalidSpecError("z must be >= 0")
+    bad = z_arr[~(np.isfinite(z_arr) & (z_arr >= 0))]
+    if bad.size:
+        raise InvalidSpecError(f"z must be finite and >= 0, got {bad[0]}")
     u = _modal_amplitudes(modes, modal_coefficients(modes, input_field), z_arr)
     stack = np.stack([m.values for m in modes.modes])
     return [Field(modes.grid, np.tensordot(row, stack, axes=(0, 0))) for row in u]

@@ -82,7 +82,9 @@ def reconstruct_index(
     wavelength: float,
     intensity_floor: float = DEFAULT_FLOOR,
 ) -> ReconstructedIndex:
-    """Invert the eigenmode relation for n(x, y) where the mode is bright."""
+    """Invert the eigenmode relation for n(x, y) where the mode is bright (n_eff finite, > 0)."""
+    if not (np.isfinite(n_eff) and n_eff > 0):
+        raise InvalidSpecError(f"n_eff must be finite and > 0, got {n_eff}")
     if not 0.0 < intensity_floor <= 1.0:
         raise InvalidSpecError("intensity_floor must be in (0, 1]")
     psi = np.asarray(mode.values, dtype=float)
@@ -126,8 +128,10 @@ def implied_n_eff(mode: Field, wavelength: float, n0: float) -> float:
     peak -- far enough out that the guide's index increment (including
     the Ricker's negative lobe) has died off -- on a twice box-smoothed
     copy of the image, which keeps the Laplacian usable under pixel
-    noise while biasing the anchor only at the 1e-5 level.
+    noise while biasing the anchor only at the 1e-5 level.  n0 must be finite and > 0.
     """
+    if not (np.isfinite(n0) and n0 > 0):
+        raise InvalidSpecError(f"n0 must be finite and > 0, got {n0}")
     psi = np.asarray(mode.values, dtype=float)
     peak = float(psi.max())
     if peak <= 0.0:

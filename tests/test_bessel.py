@@ -82,3 +82,12 @@ def test_domain_errors():
         bessel_j(0, 1.0e4)
     with pytest.raises(InvalidSpecError):
         bessel_j_array(-1, 1.0)
+    for order in (0.5, -1.5, np.nan, np.inf, "2"):
+        with pytest.raises(InvalidSpecError, match=f"order must be an integer, got {order}"):
+            bessel_j(order, 1.0)
+    for l_max in (2.5, np.nan, -np.inf):
+        with pytest.raises(InvalidSpecError, match=f"l_max must be an integer, got {l_max}"):
+            bessel_j_array(l_max, 1.0)
+    # integral values of any type are orders
+    assert bessel_j(2.0, 1.0) == bessel_j(np.int64(2), 1.0) == bessel_j(2, 1.0)
+    assert np.array_equal(bessel_j_array(np.int64(2), 1.0), bessel_j_array(2, 1.0))

@@ -427,6 +427,26 @@ def test_eme_fit_invalid_wavelength_exits_1(mode_file, tmp_path, capsys, wavelen
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("eme-reconstruct", ["--n-eff", "nan"], "n_eff must be finite and > 0, got nan"),
+        ("eme-reconstruct", ["--n-eff", "-1"], "n_eff must be finite and > 0, got -1.0"),
+        ("eme-reconstruct", ["--n0", "nan"], "n0 must be finite and > 0, got nan"),
+        ("eme-fit", ["--n0", "nan"], "n0 must be finite and > 0, got nan"),
+        ("eme-fit", ["--n0", "inf"], "n0 must be finite and > 0, got inf"),
+        ("eme-fit", ["--n0", "0"], "n0 must be finite and > 0, got 0.0"),
+    ],
+    ids=["reconstruct-n-eff-nan", "reconstruct-n-eff-negative", "reconstruct-n0-nan",
+         "fit-n0-nan", "fit-n0-inf", "fit-n0-zero"],
+)
+def test_eme_invalid_index_exits_1(mode_file, tmp_path, capsys, command, flags, message):
+    out = tmp_path / "out.txt"
+    assert main([command, "--mode-file", mode_file, *flags, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _readme_cli_lines():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]

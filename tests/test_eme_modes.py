@@ -273,29 +273,16 @@ def _assert_same_modes(a, b):
         assert np.array_equal(ma.values, mb.values)
 
 
-def test_cached_laplacian_is_never_written():
+def test_repeated_solves_on_one_grid_are_independent():
     # one grid, three solves: profile a, then b (another dn), then a again
     grid = TransverseGrid.centered(72.0, 72.0, 0.5, 0.5)
     a = ricker_profile(DESK, grid)
     b = ricker_profile(RickerParams(3.5e-3, 4.0, 4.0, N0), grid)
-    key = ((grid.nx, grid.dx, True, 0), (grid.ny, grid.dy, True, 0))  # the all-even quarter
-    modes_module._laplacian.cache_clear()
     first = solve_modes(a, LAM, 1)
-    lap, _ = modes_module._laplacian(*key)
-    assert modes_module._laplacian.cache_info()[:2] == (1, 1)  # the solve built it
-    data = lap.data.copy()
-    b_warm = solve_modes(b, LAM, 1)
-    again = solve_modes(a, LAM, 1)
-    assert modes_module._laplacian(*key)[0] is lap
-    assert np.array_equal(lap.data, data)
-    _assert_same_modes(again, first)
-    modes_module._laplacian.cache_clear()
-    _assert_same_modes(b_warm, solve_modes(b, LAM, 1))
-    # the factored matrix is a copy too
-    A = modes_module._operator(a, 2.0 * np.pi / LAM, *key)
-    before = A.copy()
-    modes_module._factor(A, 1e3)
-    assert _same_bits(A, before)
+    b_after_a = solve_modes(b, LAM, 1)
+    _assert_same_modes(solve_modes(a, LAM, 1), first)
+    modes_module._parity_bases.cache_clear()
+    _assert_same_modes(b_after_a, solve_modes(b, LAM, 1))
 
 
 @pytest.fixture
@@ -342,7 +329,7 @@ def test_operator_bits_match_direct_construction(center, symmetric, n_blocks, fa
     for iy, y_block in enumerate(ys):
         for ix, x_block in enumerate(xs):
             oracle = direct(x_block, y_block)
-            assert _same_bits(modes_module._operator(profile, k0, (*axes[0], ix), (*axes[1], iy)), oracle)
+            assert _same_bits(modes_module._operator(profile, k0, x_block, y_block), oracle)
             oracles.append(oracle)
     assert len(oracles) == n_blocks
     assert _same_bits(helmholtz_matrix(profile, LAM), direct(plain_x, plain_y))

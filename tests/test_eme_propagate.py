@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from defectlattice import DegenerateInputError
+from defectlattice import DegenerateInputError, InvalidSpecError
 from defectlattice.eme import (
     Field,
     RickerParams,
@@ -75,6 +75,14 @@ def test_modal_power_conserved(pair_system):
         out = propagate_eme(modes, inp, [z])[0]
         a = modal_coefficients(modes, Field(grid, out.values))
         assert np.sum(np.abs(a) ** 2) == pytest.approx(a0, rel=1e-10)
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, -1.0])
+def test_propagation_rejects_bad_z(pair_system, z):
+    grid, geom, modes, _ = pair_system
+    inp = gaussian_input(geom, 3.0, 3.0, grid)
+    with pytest.raises(InvalidSpecError, match=f"z must be finite and >= 0, got {z}"):
+        propagate_eme(modes, inp, [0.0, z])
 
 
 def test_extraction_localizes(pair_system):
