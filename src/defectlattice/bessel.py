@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, _integer
 
 # Domain cap: desk-scale arguments only. Beyond this the start-order
 # heuristic and the normalization sum would need asymptotic handling.
@@ -39,21 +39,9 @@ def _start_order(l_max: int, x: float) -> int:
     return m + (m & 1)
 
 
-def _integer(value, name: str) -> int:
-    """value as an int; InvalidSpecError unless it is finite and integral."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidSpecError(f"{name} must be an integer, got {value}")
-
-
 def bessel_j_array(l_max: int, x: float) -> np.ndarray:
     """J_0(x) .. J_{l_max}(x) for integral l_max >= 0 and x >= 0, by normalized downward recurrence."""
-    l_max = _integer(l_max, "l_max")
-    if l_max < 0:
-        raise InvalidSpecError(f"l_max must be >= 0, got {l_max}")
+    l_max = _integer(l_max, "l_max", 0)
     if not math.isfinite(x) or x < 0.0:
         raise InvalidSpecError(f"argument must be finite and >= 0, got {x}")
     if x >= X_MAX:

@@ -149,16 +149,7 @@ def _cmd_eme_simulate(args):
     sites = {f"c2_site_{i}": p for i, p in enumerate(run.site_probs.T)}
     _write_table(args, {"tau": grid.tau, "z_cm": grid.tau / run.beta_fit, **sites})
     if args.calibration_out:
-        _write_json(
-            args.calibration_out,
-            {
-                "preset": exp.label,
-                "beta_per_cm": run.beta_fit,
-                "beta0_per_cm": run.beta0_fit,
-                "delta_fit": run.delta_fit,
-                "mode_count": run.mode_count,
-            },
-        )
+        _write_json(args.calibration_out, {"preset": exp.label, **run.calibration()})
     return 0
 
 

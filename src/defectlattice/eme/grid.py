@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidSpecError
+from ..errors import InvalidSpecError, _integer
 from ..textio import atomic_write
 
 
@@ -43,9 +43,11 @@ class TransverseGrid:
     y0: float
 
     def __post_init__(self):
-        if self.nx < 8 or self.ny < 8:
-            raise InvalidSpecError(f"grid must be at least 8x8, got {self.nx}x{self.ny}")
+        for name in ("nx", "ny"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 8))
         _check_steps(self.dx, self.dy)
+        if not (np.isfinite(self.x0) and np.isfinite(self.y0)):
+            raise InvalidSpecError(f"grid origin must be finite, got x0={self.x0}, y0={self.y0}")
 
     @property
     def x(self) -> np.ndarray:

@@ -63,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from ..errors import EigensolverError, GeometryError, InvalidSpecError
+from ..errors import EigensolverError, GeometryError, InvalidSpecError, _integer
 from .grid import Field, TransverseGrid
 from .profile import IndexProfile
 
@@ -215,9 +215,14 @@ def _block_eigenpairs(
         if want < 1:
             continue
         w, v = _top_eigenpairs(_operator(profile, k0, x, y, sigma), sigma, want)
-        block = v.T.reshape(want, g.nx - x0, g.ny - y0).transpose(0, 2, 1)
+        # unfold the block's vectors (rows x-major, y-minor) with one sparse
+        # product per axis; every row of P holds one entry, so each value is
+        # (py * b) * px, rounded in the order of py @ b @ px.T per vector
+        nxb, nyb = g.nx - x0, g.ny - y0
+        u = py @ v.reshape(nxb, nyb, want).transpose(1, 0, 2).reshape(nyb, -1)
+        u = px @ u.reshape(g.ny, nxb, want).transpose(1, 0, 2).reshape(nxb, -1)
         vals.append(w)
-        fields.append(np.stack([py @ b @ px.T for b in block]))
+        fields.append(u.reshape(g.nx, g.ny, want).transpose(2, 1, 0))
     return np.concatenate(vals), np.concatenate(fields)
 
 
@@ -230,8 +235,7 @@ def solve_modes(
     fitting loops that probe deliberately weak candidate profiles whose
     tails are clipped by the domain.
     """
-    if n_modes < 1:
-        raise InvalidSpecError("n_modes must be >= 1")
+    n_modes = _integer(n_modes, "n_modes", 1)
     k0 = _wavenumber(wavelength)
     g = profile.grid
     k = min(n_modes, g.nx * g.ny - 2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import GeometryError, InvalidSpecError
+from ..errors import GeometryError, InvalidSpecError, _integer
 from .grid import TransverseGrid
 
 
@@ -64,12 +64,10 @@ class WaveguideGeometry:
         object.__setattr__(self, "centers", c)
         if len(c) < 1:
             raise InvalidSpecError("geometry needs at least one guide")
+        if not np.all(np.isfinite(c)):
+            raise InvalidSpecError(f"guide centers must be finite, got {c}")
         if any(b <= a for a, b in zip(c, c[1:])):
             raise InvalidSpecError("guide centers must be strictly increasing")
-
-    @property
-    def n_guides(self) -> int:
-        return len(self.centers)
 
     @staticmethod
     def from_spacings(n_guides: int, d0: float, d: float) -> "WaveguideGeometry":
@@ -80,8 +78,9 @@ class WaveguideGeometry:
         guide and the rest, so with d0 == d the centers are exact negatives
         of each other.
         """
-        if n_guides < 1:
-            raise InvalidSpecError("n_guides must be >= 1")
+        n_guides = _integer(n_guides, "n_guides", 1)
+        if not (np.isfinite(d0) and np.isfinite(d)):
+            raise InvalidSpecError(f"gaps must be finite, got d0={d0}, d={d}")
         half_excess = (d0 - d) / 2.0 if n_guides > 1 else 0.0
         return WaveguideGeometry(tuple(
             (i - (n_guides - 1) / 2.0) * d + (half_excess if i else -half_excess)

@@ -25,8 +25,8 @@ def gaussian_input(
     geom: WaveguideGeometry, waist_x: float, waist_y: float, grid: TransverseGrid
 ) -> Field:
     """Unit-norm Gaussian amplitude exp(-x'^2/wx^2 - y^2/wy^2) on guide 0."""
-    if not (waist_x > 0 and waist_y > 0):
-        raise InvalidSpecError("waists must be > 0")
+    if not (0 < waist_x < np.inf and 0 < waist_y < np.inf):
+        raise InvalidSpecError(f"waists must be finite and > 0, got {waist_x}, {waist_y}")
     X, Y = grid.mesh()
     x_c = geom.centers[0]
     vals = np.exp(-((X - x_c) ** 2) / waist_x ** 2 - Y ** 2 / waist_y ** 2)
@@ -67,6 +67,8 @@ def shift_mode(mode: Field, dx_um: float) -> Field:
     Guide spacings are generally not integer multiples of the grid step,
     so localized basis modes are re-sampled rather than index-shifted.
     """
+    if not np.isfinite(dx_um):
+        raise InvalidSpecError(f"shift must be finite, got {dx_um}")
     g = mode.grid
     x = g.x
     out = np.empty_like(mode.values)

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer-count check."""
 
 
 class InvalidSpecError(ValueError):
@@ -51,3 +51,17 @@ class SigmaExtractionError(RuntimeError):
 
 class FitFailureError(RuntimeError):
     """Profile fit ended below the acceptable fidelity threshold."""
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """value as an int; InvalidSpecError unless it is finite and integral
+    (10, 10.0 and np.int64(10) all pass) and not below minimum."""
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise InvalidSpecError(f"{name} must be an integer, got {value}")
+    if minimum is not None and value < minimum:
+        raise InvalidSpecError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,7 +50,11 @@ from .eme.propagate import (
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """One waveguide-array set: geometry (um) and fitted couplings (1/cm)."""
+    """One waveguide-array set: geometry (um) and fitted couplings (1/cm).
+
+    Every set has ten guides and the time range tau <= 4, so ``n_sites``
+    and ``tau_max`` are class constants, not constructor arguments.
+    """
 
     label: str
     d0: float
@@ -57,8 +62,8 @@ class ExperimentPreset:
     beta0: float
     beta: float
     delta: float
-    n_sites: int = 10
-    tau_max: float = 4.0
+    n_sites: ClassVar[int] = 10
+    tau_max: ClassVar[float] = 4.0
 
     def __post_init__(self):
         if abs(self.delta - self.beta0 / self.beta) > 0.02 * self.delta:
@@ -165,6 +170,15 @@ class EmeRun:
     delta_fit: float
     mode_count: int
 
+    def calibration(self) -> dict:
+        """The calibration keys of the JSON outputs."""
+        return {
+            "beta_per_cm": self.beta_fit,
+            "beta0_per_cm": self.beta0_fit,
+            "delta_fit": self.delta_fit,
+            "mode_count": self.mode_count,
+        }
+
 
 def run_eme(
     exp: ExperimentPreset,
@@ -249,24 +263,17 @@ class ComparisonReport:
                 "site_probs": arr2(self.eme.site_probs),
                 "gamma_eff": arr(self.eme_gamma_eff),
             }
-            out["eme_calibration"] = {
-                "beta_per_cm": self.eme.beta_fit,
-                "beta0_per_cm": self.eme.beta0_fit,
-                "delta_fit": self.eme.delta_fit,
-                "mode_count": self.eme.mode_count,
-            }
+            out["eme_calibration"] = self.eme.calibration()
         return out
 
 
 def compare_models(
     exp: ExperimentPreset,
-    grid: TimeGrid | None = None,
+    grid: TimeGrid,
     eme_config: EmeConfig = DEFAULT_EME_CONFIG,
     include_eme: bool = True,
 ) -> ComparisonReport:
     """Closed form vs coupled-mode vs (optionally) EME on a shared grid."""
-    if grid is None:
-        grid = TimeGrid.uniform(exp.tau_max, 401)
     if grid.tau[-1] > exp.tau_max + 1e-12:
         raise InvalidSpecError(f"grid exceeds preset tau range [0, {exp.tau_max}]")
 

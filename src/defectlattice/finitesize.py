@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidComparisonError
+from .errors import InsufficientDataError, InvalidComparisonError, _integer
 from .lattice import LatticeSpec, TimeGrid, build_hamiltonian, initial_state, propagate
 
 DEFAULT_N_REF = 600
@@ -28,8 +28,6 @@ class DeviationSeries:
     grid: TimeGrid
     d_values: np.ndarray
     c_values: np.ndarray
-    n_trunc: int
-    n_ref: int
 
 
 def deviation(
@@ -41,6 +39,7 @@ def deviation(
     integrates D_N from 0. ``n_ref == n_trunc`` is admitted (D is then
     identically zero).
     """
+    n_trunc, n_ref = _integer(n_trunc, "n_trunc", 2), _integer(n_ref, "n_ref", 2)
     if n_ref < n_trunc:
         raise InvalidComparisonError(
             f"reference must not be smaller than the truncated chain ({n_ref} < {n_trunc})"
@@ -60,7 +59,7 @@ def deviation(
     # squared overlap and must stay in [0, 1]
     d = np.clip(1.0 - np.abs(ov) ** 2, 0.0, 1.0)
     d[0] = 0.0
-    return DeviationSeries(grid, d, _running_mean(tau, d), n_trunc, n_ref)
+    return DeviationSeries(grid, d, _running_mean(tau, d))
 
 
 def _running_mean(tau: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, _integer
 
 NORM_TOL = 1e-10
 
@@ -33,8 +33,7 @@ class LatticeSpec:
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise InvalidSpecError(f"n_sites must be >= 2, got {self.n_sites}")
+        object.__setattr__(self, "n_sites", _integer(self.n_sites, "n_sites", 2))
         if not 0 < self.delta < np.inf:
             raise InvalidSpecError(f"delta must be finite and > 0, got {self.delta}")
 
@@ -64,34 +63,27 @@ class TimeGrid:
     def uniform(tau_max: float, n_points: int) -> "TimeGrid":
         if not 0.0 < tau_max < np.inf:
             raise InvalidSpecError(f"tau_max must be finite and > 0, got {tau_max}")
-        return TimeGrid(np.linspace(0.0, tau_max, n_points))
+        return TimeGrid(np.linspace(0.0, tau_max, _integer(n_points, "n_points", 1)))
 
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Real symmetric tridiagonal operator: diagonal and off-diagonal couplings."""
+    """Real symmetric tridiagonal operator with a zero diagonal: the chain's
+    n_sites - 1 bond couplings, first bond first."""
 
-    diagonal: np.ndarray
     off_diagonal: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.diagonal, dtype=float)
-        e = np.asarray(self.off_diagonal, dtype=float)
-        object.__setattr__(self, "diagonal", d)
-        object.__setattr__(self, "off_diagonal", e)
-        if e.size != d.size - 1:
-            raise InvalidSpecError(
-                f"off_diagonal must have length n_sites-1 ({d.size - 1}), got {e.size}"
-            )
+        object.__setattr__(self, "off_diagonal", np.asarray(self.off_diagonal, dtype=float))
 
     @property
     def n_sites(self) -> int:
-        return self.diagonal.size
+        return self.off_diagonal.size + 1
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and orthonormal eigenvector columns."""
         try:
-            return eigh_tridiagonal(self.diagonal, self.off_diagonal)
+            return eigh_tridiagonal(np.zeros(self.n_sites), self.off_diagonal)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise InvalidSpecError(
                 f"tridiagonal eigensolver failed for size {self.n_sites}: {exc}"
@@ -121,23 +113,17 @@ class AmplitudeTrace:
         if worst > NORM_TOL:
             raise InvalidSpecError(f"row norm deviates from 1 by {worst:.3e} (> {NORM_TOL:g})")
 
-    @property
-    def n_sites(self) -> int:
-        return self.amplitudes.shape[1]
-
 
 def build_hamiltonian(spec: LatticeSpec) -> TridiagonalOperator:
     """Tridiagonal operator for the chain: zero diagonal, bonds 1, first bond delta."""
     off = np.ones(spec.n_sites - 1)
     off[0] = spec.delta
-    return TridiagonalOperator(np.zeros(spec.n_sites), off)
+    return TridiagonalOperator(off)
 
 
 def initial_state(n_sites: int) -> np.ndarray:
     """Single excitation on the first site: (1, 0, ..., 0)."""
-    if n_sites < 1:
-        raise InvalidSpecError(f"n_sites must be >= 1, got {n_sites}")
-    state = np.zeros(n_sites, dtype=complex)
+    state = np.zeros(_integer(n_sites, "n_sites", 1), dtype=complex)
     state[0] = 1.0
     return state
 

@@ -90,7 +90,6 @@ class RegimeParams:
     degenerates to the critical Bessel branch.
     """
 
-    delta: float
     gamma: float
     amp: float | None
     omega: float | None
@@ -114,11 +113,11 @@ def regime_params(delta: float) -> RegimeParams:
     d2 = delta * delta
     gamma = math.sqrt(abs(1.0 - d2))
     if delta == 1.0:
-        return RegimeParams(delta, 0.0, None, None, "critical")
+        return RegimeParams(0.0, None, None, "critical")
     amp = (d2 - 2.0) / (d2 - 1.0)
     omega = d2 / gamma
     regime = "sub_critical" if delta < 1.0 else "super_critical"
-    return RegimeParams(delta, gamma, amp, omega, regime)
+    return RegimeParams(gamma, amp, omega, regime)
 
 
 def c0_critical(tau: float) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import shlex
 
 import numpy as np
@@ -444,6 +445,17 @@ def test_eme_invalid_index_exits_1(mode_file, tmp_path, capsys, command, flags, 
     out = tmp_path / "out.txt"
     assert main([command, "--mode-file", mode_file, *flags, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x0", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["eme-reconstruct", "eme-fit"])
+def test_eme_non_finite_origin_exits_1(mode_file, tmp_path, capsys, command, x0):
+    bad = tmp_path / "mode.txt"
+    bad.write_text(re.sub(r"x0=\S+", f"x0={x0}", pathlib.Path(mode_file).read_text(), count=1))
+    out = tmp_path / "out.txt"
+    assert main([command, "--mode-file", str(bad), "--out", str(out)]) == 1
+    assert f"x0={float(x0)}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -16,6 +16,12 @@ def test_grid_validation():
         TransverseGrid(20, 20, 0.5, float("inf"), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("x0, y0", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf)])
+def test_grid_origin_must_be_finite(x0, y0):
+    with pytest.raises(InvalidSpecError, match=f"x0={x0}, y0={y0}"):
+        TransverseGrid(20, 20, 0.5, 0.5, x0, y0)
+
+
 @pytest.mark.parametrize("step", [0.0, -0.5, float("nan"), float("inf")])
 def test_centered_checks_steps_before_dividing(step):
     with pytest.raises(InvalidSpecError, match="steps"):

@@ -252,6 +252,32 @@ def test_off_centre_guide_solves_on_full_grid(solved_sizes):
     _assert_matches_reference(ms, profile, 1)
 
 
+def test_block_unfold_matches_per_vector_products(monkeypatch):
+    # x-elongated guide: the x-even and x-odd blocks (both y-even) are solved,
+    # and their vectors, unfolded one at a time as py @ b @ px.T, are the fields
+    grid = TransverseGrid.centered(120.0, 72.0, 0.5, 0.5)
+    profile = ricker_profile(RickerParams(3e-3, 14.0, 4.0, N0), grid)
+    vectors = []
+
+    def spy(*args, **kw):
+        w, v = eigsh(*args, **kw)
+        vectors.append(v)
+        return w, v
+
+    monkeypatch.setattr(modes_module, "eigsh", spy)
+    k0 = 2.0 * np.pi / LAM
+    sigma = k0 ** 2 * profile.n.max() ** 2 * 1.001
+    _, fields = modes_module._block_eigenpairs(profile, k0, sigma, 3)
+    xs = modes_module._parity_bases(grid.nx, grid.dx, True)
+    py, _, y0 = modes_module._parity_bases(grid.ny, grid.dy, True)[0]
+    ref = [
+        py @ b @ px.T
+        for v, (px, _, x0) in zip(vectors, xs, strict=True)
+        for b in v.T.reshape(v.shape[1], grid.nx - x0, grid.ny - y0).transpose(0, 2, 1)
+    ]
+    assert np.array_equal(fields, np.stack(ref))
+
+
 @pytest.mark.parametrize("wavelength", [0.0, -1.0, np.inf, np.nan])
 def test_invalid_wavelength_raises(wavelength):
     profile = ricker_profile(DESK, TransverseGrid.centered(20.0, 20.0, 1.0, 1.0))

@@ -85,6 +85,20 @@ def test_propagation_rejects_bad_z(pair_system, z):
         propagate_eme(modes, inp, [0.0, z])
 
 
+@pytest.mark.parametrize("waist", [np.inf, np.nan, 0.0])
+def test_gaussian_input_rejects_bad_waist(pair_system, waist):
+    grid, geom, _, _ = pair_system
+    with pytest.raises(InvalidSpecError, match=f"waists must be finite and > 0, got {waist}, 3.0"):
+        gaussian_input(geom, waist, 3.0, grid)
+
+
+@pytest.mark.parametrize("dx", [np.nan, np.inf])
+def test_shift_rejects_non_finite(pair_system, dx):
+    _, _, _, phi = pair_system
+    with pytest.raises(InvalidSpecError, match=f"shift must be finite, got {dx}"):
+        shift_mode(phi, dx)
+
+
 def test_extraction_localizes(pair_system):
     grid, geom, _, phi = pair_system
     # field = localized mode on guide 1: all weight lands on guide 1

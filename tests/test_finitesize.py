@@ -112,13 +112,13 @@ def test_reference_size_stability():
 
 def test_onset_absent_when_flat():
     grid = TimeGrid.uniform(2.0, 21)
-    ser = DeviationSeries(grid, np.zeros(21), np.zeros(21), 5, 50)
+    ser = DeviationSeries(grid, np.zeros(21), np.zeros(21))
     assert onset_time(ser, 1e-6) is None
 
 
 def test_onset_interpolates():
     grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
-    ser = DeviationSeries(grid, np.array([0.0, 0.0, 1.0]), np.zeros(3), 5, 50)
+    ser = DeviationSeries(grid, np.array([0.0, 0.0, 1.0]), np.zeros(3))
     assert onset_time(ser, 0.5) == pytest.approx(1.5)
 
 

@@ -13,12 +13,24 @@ from defectlattice import (
     propagate,
     site_probabilities,
 )
+from defectlattice.eme import (
+    RickerParams,
+    TransverseGrid,
+    WaveguideGeometry,
+    ricker_profile,
+    solve_modes,
+)
+from defectlattice.finitesize import deviation
 from helpers import J1_FIRST_ZERO, series_j
+
+SMALL_PROFILE = ricker_profile(
+    RickerParams(3e-3, 4.0, 4.0, 1.457), TransverseGrid.centered(24.0, 24.0, 1.0, 1.0)
+)
 
 
 def test_build_hamiltonian_examples():
     op = build_hamiltonian(LatticeSpec(3, delta=0.5))
-    assert op.diagonal.tolist() == [0.0, 0.0, 0.0]
+    assert op.n_sites == 3
     assert op.off_diagonal.tolist() == [0.5, 1.0]
 
     op = build_hamiltonian(LatticeSpec(2, delta=1.0))
@@ -44,6 +56,29 @@ def test_grid_validation():
     for tau_max in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InvalidSpecError, match="tau_max"):
             TimeGrid.uniform(tau_max, 5)
+
+
+@pytest.mark.parametrize(
+    "call, name, minimum",
+    [
+        (lambda n: TimeGrid.uniform(4.0, n), "n_points", 1),
+        (lambda n: build_hamiltonian(LatticeSpec(n)), "n_sites", 2),
+        (lambda n: deviation(1.0, n, TimeGrid.uniform(1.0, 5)), "n_trunc", 2),
+        (initial_state, "n_sites", 1),
+        (lambda n: WaveguideGeometry.from_spacings(n, 27.1, 27.1), "n_guides", 1),
+        (lambda n: solve_modes(SMALL_PROFILE, 0.633, n, check_edges=False), "n_modes", 1),
+        (lambda n: TransverseGrid(n, 10, 1.0, 1.0, 0.0, 0.0), "nx", 8),
+    ],
+    ids=["time-grid", "lattice-spec", "deviation", "initial-state", "geometry", "solve-modes",
+         "transverse-grid"],
+)
+def test_counts_must_be_integral(call, name, minimum):
+    for bad in (minimum + 0.5, minimum - 1, np.nan, "10"):
+        with pytest.raises(InvalidSpecError, match=name):
+            call(bad)
+    # integral values of any type are counts
+    call(float(minimum + 1))
+    call(np.int64(minimum + 1))
 
 
 def test_initial_state():
