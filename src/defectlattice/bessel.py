@@ -75,6 +75,26 @@ def bessel_j_array(l_max: int, x: float) -> np.ndarray:
     return out
 
 
+def _tail_order(y: float, bound: float, limit: int) -> int | None:
+    """Smallest order K in (y, limit] with y^K / K! < bound, or None if none is.
+
+    With y = x/2 (times the growth rate of any weights), y^k / k! bounds
+    |J_k(x)| (and the weighted terms), so no later term reaches the bound.
+    For bound < 1/2 the returned K also exceeds 2y, so past it each term is
+    at most half the one before and their sum stays below the bound too.
+    The search stops at e^2 y - ln(bound), where ln(y^K / K!) <= -K.
+    """
+    if y == 0.0:
+        return 0
+    if not y <= limit:  # also for inf and nan
+        return None
+    hi = min(limit, int(math.e ** 2 * y - math.log(bound)) + 1)
+    orders = np.arange(1, hi + 1)
+    log_terms = np.cumsum(math.log(y) - np.log(orders))
+    past = orders[(orders > y) & (log_terms < math.log(bound))]
+    return int(past[0]) if past.size else None
+
+
 def bessel_j(order: int, x: float) -> float:
     """J_order(x) for integral order (may be negative), x >= 0."""
     order = _integer(order, "order")

@@ -51,6 +51,8 @@ class IndexProfile:
             raise InvalidSpecError("index map shape does not match grid")
         if not np.all(np.isfinite(n)):
             raise InvalidSpecError("index map contains non-finite values")
+        if not (np.isfinite(self.n0) and self.n0 > 0):
+            raise InvalidSpecError(f"n0 must be finite and > 0, got {self.n0}")
 
 
 @dataclass(frozen=True)

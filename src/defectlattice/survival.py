@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_array
+from .bessel import _tail_order, bessel_j, bessel_j_array
 from .errors import InvalidSpecError, QuadratureError, SeriesDivergenceError
 
 #: below this distance c0_closed_form returns the delta = 1 branch, off by at
@@ -133,23 +133,6 @@ def _check_variant(variant: str):
         raise InvalidSpecError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
-def _order_cap(y: float, name: str) -> int:
-    """Smallest order L > y = rho*x/2 with y^L / L! < _TERM_BOUND; as
-    |w_l J_l(x)| <~ y^l / l!, every later term is smaller.  The search
-    stops at e^2 y - ln(_TERM_BOUND), where ln(y^L / L!) <= -L.
-    """
-    if y == 0.0:
-        return 0
-    if y <= _MAX_ORDERS:  # false for inf and nan
-        hi = min(_MAX_ORDERS, int(math.e ** 2 * y - math.log(_TERM_BOUND)) + 1)
-        orders = np.arange(1, hi + 1)
-        log_terms = np.cumsum(math.log(y) - np.log(orders))
-        past = orders[(orders > y) & (log_terms < math.log(_TERM_BOUND))]
-        if past.size:
-            return int(past[0])
-    raise SeriesDivergenceError(f"{name} needs more than {_MAX_ORDERS} orders")
-
-
 def _bessel_sum(name: str, tau: float, rho: float, weights) -> float:
     """sum_l w_l J_l(2 tau) for l = 0..L, with w = weights(L) growing like rho^l.
 
@@ -159,7 +142,10 @@ def _bessel_sum(name: str, tau: float, rho: float, weights) -> float:
     SeriesDivergenceError instead of returning lost digits.
     """
     x = 2.0 * tau
-    cap = _order_cap(0.5 * rho * x, name)
+    # |w_l J_l(x)| <~ (rho x / 2)^l / l!, so no term past the cap reaches _TERM_BOUND
+    cap = _tail_order(0.5 * rho * x, _TERM_BOUND, _MAX_ORDERS)
+    if cap is None:
+        raise SeriesDivergenceError(f"{name} needs more than {_MAX_ORDERS} orders")
     with np.errstate(over="ignore", invalid="ignore"):
         terms = weights(cap)
         if np.all(np.isfinite(terms)):  # an overflowing weight skips the recurrence

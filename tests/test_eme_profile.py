@@ -33,6 +33,14 @@ def test_params_must_be_finite_and_positive(field, value):
         dataclasses.replace(P, **{field: value})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+def test_profile_n0_must_be_finite_and_positive(value):
+    prof = ricker_profile(P, TransverseGrid.centered(40.0, 40.0, 1.0, 1.0))
+    assert (prof.grid.nx, prof.grid.ny) == (41, 41)
+    with pytest.raises(InvalidSpecError, match=f"n0 must be finite and > 0, got {value}"):
+        dataclasses.replace(prof, n0=value)
+
+
 def test_profile_landmarks():
     g = TransverseGrid.centered(40.0, 40.0, 0.25, 0.25)
     prof = ricker_profile(P, g)

@@ -1,5 +1,7 @@
 """Truncation deviation D_N, cumulative C_N, and onset analysis."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,17 @@ def test_reference_size_stability():
     grid = TimeGrid.uniform(4.0, 81)
     a = deviation(1.0, 10, grid)
     b = deviation(1.0, 10, grid, n_ref=1200)
-    assert np.max(np.abs(a.d_values - b.d_values)) < 1e-12
+    # both references are cut to the same light cone
+    assert np.array_equal(a.d_values, b.d_values)
+
+
+def test_small_deviation_keeps_its_digits():
+    # to leading order D_10 = (tau^10 * delta / 10!)^2, from the one path
+    # that reaches site 10; 1 - |overlap|^2 cancels it to rounding noise
+    for delta in (0.474, 1.0, 4.17):
+        ser = deviation(delta, 10, TimeGrid(np.array([0.0, 0.125, 0.25])))
+        lead = (0.25 ** 10 * delta / math.factorial(10)) ** 2
+        assert ser.d_values[2] == pytest.approx(lead, rel=0.05, abs=0.0)
 
 
 def test_onset_absent_when_flat():

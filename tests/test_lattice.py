@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from defectlattice import (
+    AmplitudeTrace,
     InvalidSpecError,
     LatticeSpec,
     TimeGrid,
+    TridiagonalOperator,
     build_hamiltonian,
     effective_decay_rate,
     initial_state,
     propagate,
     site_probabilities,
 )
+from defectlattice.bessel import _tail_order
 from defectlattice.eme import (
     RickerParams,
     TransverseGrid,
@@ -21,6 +27,7 @@ from defectlattice.eme import (
     solve_modes,
 )
 from defectlattice.finitesize import deviation
+from defectlattice.lattice import _CONE_BOUND
 from helpers import J1_FIRST_ZERO, series_j
 
 SMALL_PROFILE = ricker_profile(
@@ -79,6 +86,66 @@ def test_counts_must_be_integral(call, name, minimum):
     # integral values of any type are counts
     call(float(minimum + 1))
     call(np.int64(minimum + 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_operator_bonds_must_be_finite(bad):
+    with pytest.raises(InvalidSpecError, match=r"off_diagonal bonds must be finite; bonds \[1\]"):
+        TridiagonalOperator([1.0, bad, 1.0])
+    with pytest.raises(InvalidSpecError, match="off_diagonal bonds must be a 1-d array"):
+        TridiagonalOperator([[1.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_state_must_be_finite(bad):
+    state = initial_state(6)
+    state[3] = bad
+    with pytest.raises(InvalidSpecError, match="state0 must be finite"):
+        propagate(build_hamiltonian(LatticeSpec(6)), state, TimeGrid.uniform(1.0, 5))
+
+
+def test_trace_rejects_nan_rows():
+    with pytest.raises(InvalidSpecError, match="row norm"):
+        AmplitudeTrace(TimeGrid.uniform(1.0, 2), np.full((2, 3), np.nan, dtype=complex))
+
+
+def _full_chain_amplitudes(off, state0, tau):
+    """exp(-i H tau) state0 from the eigendecomposition of all N sites."""
+    w, v = eigh_tridiagonal(np.zeros(off.size + 1), off)
+    return (np.exp(-1j * np.outer(tau, w)) * (v.T @ state0)) @ v.T
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    delta=st.floats(0.05, 8.0, exclude_min=True, exclude_max=True),
+    n=st.integers(10, 1500),
+    start=st.integers(1, 60),
+    width=st.integers(1, 6),
+    tau0=st.floats(0.01, 3.0),
+    span=st.floats(0.1, 6.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(delta=4.17, n=30, start=3, width=2, tau0=0.5, span=3.5, seed=1)  # N inside the cone
+@example(delta=0.474, n=1500, start=1, width=1, tau0=0.01, span=4.0, seed=2)
+def test_light_cone_matches_full_chain(delta, n, start, width, tau0, span, seed):
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(0.5, 1.5, n - 1)
+    off[0] = delta
+    start = min(start, n - 1)
+    m = min(n, start + width)  # support of state0: its last nonzero site + 1
+    state0 = np.zeros(n, dtype=complex)
+    state0[start:m] = rng.normal(size=m - start) + 1j * rng.normal(size=m - start)
+    state0 /= np.linalg.norm(state0)
+    tau = np.linspace(tau0, tau0 + span, 7)
+
+    amps = propagate(TridiagonalOperator(off), state0, TimeGrid(tau)).amplitudes
+    full = _full_chain_amplitudes(off, state0, tau)
+    assert np.max(np.abs(amps - full)) < 1e-13
+
+    s = max(np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0)))
+    k = _tail_order(0.5 * s * tau[-1], _CONE_BOUND / 4, n - m)
+    if k is None or m + k >= n:  # N inside the cone: the whole chain, bit for bit
+        assert np.array_equal(amps, full)
 
 
 def test_initial_state():
