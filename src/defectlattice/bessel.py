@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidSpecError, _integer
+from .errors import InvalidSpecError, _integer, _real
 
 # Domain cap: desk-scale arguments only. Beyond this the start-order
 # heuristic and the normalization sum would need asymptotic handling.
@@ -42,8 +42,7 @@ def _start_order(l_max: int, x: float) -> int:
 def bessel_j_array(l_max: int, x: float) -> np.ndarray:
     """J_0(x) .. J_{l_max}(x) for integral l_max >= 0 and x >= 0, by normalized downward recurrence."""
     l_max = _integer(l_max, "l_max", 0)
-    if not math.isfinite(x) or x < 0.0:
-        raise InvalidSpecError(f"argument must be finite and >= 0, got {x}")
+    x = _real(x, "x", ">= 0")
     if x >= X_MAX:
         raise InvalidSpecError(f"argument {x} outside supported domain |x| < {X_MAX:g}")
 

@@ -125,16 +125,15 @@ def _cmd_propagate(args):
 
 
 def _cmd_finite_size(args):
-    if args.threshold is not None and not args.threshold > 0:
-        raise errors.InsufficientDataError(f"threshold must be > 0, got {args.threshold}")
     grid = TimeGrid.uniform(args.tau_max, args.steps)
     ser = deviation(args.delta, args.sites, grid, args.ref_sites)
+    # the onset first, so that a bad threshold fails before any file is written
+    onset = None if args.threshold is None else onset_time(ser, args.threshold)
     columns = {"tau": grid.tau, "d_n": ser.d_values, "c_n": ser.c_values}
     _write_table(args, columns, [("D_N", "d_n"), ("C_N", "c_n")], "deviation",
                  f"N={args.sites} vs {args.ref_sites}, delta={args.delta}", log_y=True)
     if args.threshold is not None:
-        t = onset_time(ser, args.threshold)
-        print("" if t is None else format(t, ".17g"))
+        print("" if onset is None else format(onset, ".17g"))
     return 0
 
 

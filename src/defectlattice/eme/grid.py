@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidSpecError, _integer
+from ..errors import InvalidSpecError, _integer, _real
 from ..textio import atomic_write
-
-
-def _check_steps(dx: float, dy: float):
-    if not (0 < dx < np.inf and 0 < dy < np.inf):
-        raise InvalidSpecError(f"grid steps must be finite and > 0, got {dx}, {dy}")
 
 
 def _axis(first: float, step: float, n: int) -> np.ndarray:
@@ -45,9 +40,8 @@ class TransverseGrid:
     def __post_init__(self):
         for name in ("nx", "ny"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, 8))
-        _check_steps(self.dx, self.dy)
-        if not (np.isfinite(self.x0) and np.isfinite(self.y0)):
-            raise InvalidSpecError(f"grid origin must be finite, got x0={self.x0}, y0={self.y0}")
+        for name, bound in (("dx", "> 0"), ("dy", "> 0"), ("x0", ""), ("y0", "")):
+            object.__setattr__(self, name, _real(getattr(self, name), name, bound))
 
     @property
     def x(self) -> np.ndarray:
@@ -67,13 +61,8 @@ class TransverseGrid:
     @staticmethod
     def centered(width: float, height: float, dx: float, dy: float) -> "TransverseGrid":
         """Grid spanning [-width/2, width/2] x [-height/2, height/2]."""
-        if not (0 < width < np.inf and 0 < height < np.inf):
-            raise InvalidSpecError(
-                f"grid width and height must be finite and > 0, got {width}, {height}"
-            )
-        _check_steps(dx, dy)
-        nx = int(round(width / dx)) + 1
-        ny = int(round(height / dy)) + 1
+        nx = int(round(_real(width, "width", "> 0") / _real(dx, "dx", "> 0"))) + 1
+        ny = int(round(_real(height, "height", "> 0") / _real(dy, "dy", "> 0"))) + 1
         return TransverseGrid(nx, ny, dx, dy, -dx * (nx - 1) / 2.0, -dy * (ny - 1) / 2.0)
 
 
@@ -130,17 +119,25 @@ def write_field(path: str, field: Field) -> None:
             fh.write("\n")
 
 
+def _number(text: str):
+    """text as an int or a float, or text itself for the grid's checks to reject."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 def read_field(path: str) -> Field:
+    """Field from a file in the format above; InvalidSpecError names the path."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         m = _HEADER_RE.match(header)
         if not m:
             raise InvalidSpecError(f"{path}: malformed field header {header!r}")
-        nx, ny = int(m.group(1)), int(m.group(2))
-        dx, dy, x0, y0 = (float(m.group(i)) for i in range(3, 7))
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (ny, nx):
-        raise InvalidSpecError(
-            f"{path}: data shape {data.shape} does not match header ({ny}, {nx})"
-        )
-    return Field(TransverseGrid(nx, ny, dx, dy, x0, y0), data)
+        try:
+            grid = TransverseGrid(*map(_number, m.groups()))
+            return Field(grid, np.loadtxt(fh, ndmin=2))
+        except InvalidSpecError as exc:
+            raise InvalidSpecError(f"{path}: {exc}") from None

@@ -63,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from ..errors import EigensolverError, GeometryError, InvalidSpecError, _integer
+from ..errors import EigensolverError, GeometryError, _integer, _real
 from .grid import Field, TransverseGrid
 from .profile import IndexProfile
 
@@ -135,9 +135,7 @@ def _operator(profile: IndexProfile, k0: float, x: tuple, y: tuple,
 
 def _wavenumber(wavelength: float) -> float:
     """k0 = 2 pi / wavelength; InvalidSpecError unless the wavelength is finite and > 0."""
-    if not (np.isfinite(wavelength) and wavelength > 0):
-        raise InvalidSpecError(f"wavelength must be finite and > 0, got {wavelength}")
-    return 2.0 * np.pi / wavelength
+    return 2.0 * np.pi / _real(wavelength, "wavelength", "> 0")
 
 
 def helmholtz_matrix(profile: IndexProfile, wavelength: float) -> sp.csc_matrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import GeometryError, InvalidSpecError, _integer
+from ..errors import GeometryError, InvalidSpecError, _integer, _real
 from .grid import TransverseGrid
 
 
@@ -31,9 +31,7 @@ class RickerParams:
 
     def __post_init__(self):
         for name in ("delta_n", "sigma_x", "sigma_y", "n0"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise InvalidSpecError(f"{name} must be finite and > 0, got {value}")
+            object.__setattr__(self, name, _real(getattr(self, name), name, "> 0"))
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,7 @@ class IndexProfile:
             raise InvalidSpecError("index map shape does not match grid")
         if not np.all(np.isfinite(n)):
             raise InvalidSpecError("index map contains non-finite values")
-        if not (np.isfinite(self.n0) and self.n0 > 0):
-            raise InvalidSpecError(f"n0 must be finite and > 0, got {self.n0}")
+        object.__setattr__(self, "n0", _real(self.n0, "n0", "> 0"))
 
 
 @dataclass(frozen=True)
@@ -81,8 +78,7 @@ class WaveguideGeometry:
         of each other.
         """
         n_guides = _integer(n_guides, "n_guides", 1)
-        if not (np.isfinite(d0) and np.isfinite(d)):
-            raise InvalidSpecError(f"gaps must be finite, got d0={d0}, d={d}")
+        d0, d = _real(d0, "d0", "> 0"), _real(d, "d", "> 0")
         half_excess = (d0 - d) / 2.0 if n_guides > 1 else 0.0
         return WaveguideGeometry(tuple(
             (i - (n_guides - 1) / 2.0) * d + (half_excess if i else -half_excess)

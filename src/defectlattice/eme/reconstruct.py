@@ -35,6 +35,7 @@ from ..errors import (
     FitFailureError,
     InvalidSpecError,
     SigmaExtractionError,
+    _real,
 )
 from .grid import Field, TransverseGrid
 from .modes import _wavenumber, solve_modes
@@ -83,10 +84,9 @@ def reconstruct_index(
     intensity_floor: float = DEFAULT_FLOOR,
 ) -> ReconstructedIndex:
     """Invert the eigenmode relation for n(x, y) where the mode is bright (n_eff finite, > 0)."""
-    if not (np.isfinite(n_eff) and n_eff > 0):
-        raise InvalidSpecError(f"n_eff must be finite and > 0, got {n_eff}")
-    if not 0.0 < intensity_floor <= 1.0:
-        raise InvalidSpecError("intensity_floor must be in (0, 1]")
+    n_eff = _real(n_eff, "n_eff", "> 0")
+    if _real(intensity_floor, "intensity_floor", "> 0") > 1.0:
+        raise InvalidSpecError(f"intensity_floor must be <= 1, got {intensity_floor}")
     psi = np.asarray(mode.values, dtype=float)
     if np.any(psi < 0):
         raise InvalidSpecError("mode must be a non-negative amplitude (flat wavefront)")
@@ -130,8 +130,7 @@ def implied_n_eff(mode: Field, wavelength: float, n0: float) -> float:
     copy of the image, which keeps the Laplacian usable under pixel
     noise while biasing the anchor only at the 1e-5 level.  n0 must be finite and > 0.
     """
-    if not (np.isfinite(n0) and n0 > 0):
-        raise InvalidSpecError(f"n0 must be finite and > 0, got {n0}")
+    n0 = _real(n0, "n0", "> 0")
     psi = np.asarray(mode.values, dtype=float)
     peak = float(psi.max())
     if peak <= 0.0:

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit, and the integer-count check."""
+"""Exception types shared across the toolkit, and the integer and real input checks."""
+
+import math
+import numbers
 
 
 class InvalidSpecError(ValueError):
@@ -65,3 +68,15 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise InvalidSpecError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _real(value, name: str, bound: str = "") -> float:
+    """value as a float; InvalidSpecError unless it is a real number (not a string,
+    None, complex or array, 0-d included), finite and within bound "> 0", ">= 0" or ""."""
+    try:  # float first: a concrete type is checked far faster than the ABC
+        x = float(value) if isinstance(value, (float, numbers.Real)) else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not (math.isfinite(x) and (x > 0 if bound == "> 0" else x >= 0 or not bound)):
+        raise InvalidSpecError(f"{name} must be finite{bound and ' and ' + bound}, got {value}")
+    return x

@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, _real
 from .lattice import (
     LatticeSpec,
     TimeGrid,
@@ -66,6 +66,8 @@ class ExperimentPreset:
     tau_max: ClassVar[float] = 4.0
 
     def __post_init__(self):
+        for name in ("d0", "d", "beta0", "beta", "delta"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, "> 0"))
         if abs(self.delta - self.beta0 / self.beta) > 0.02 * self.delta:
             raise InvalidSpecError(
                 f"{self.label}: delta={self.delta} is not beta0/beta within 2%"

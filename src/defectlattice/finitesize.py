@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidComparisonError, _integer
+from .errors import InsufficientDataError, InvalidComparisonError, _integer, _real
 from .lattice import LatticeSpec, TimeGrid, build_hamiltonian, initial_state, propagate
 
 DEFAULT_N_REF = 600
@@ -82,8 +82,7 @@ def _running_mean(tau: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def onset_time(series: DeviationSeries, threshold: float) -> float | None:
     """First tau with D_N > threshold, linearly interpolated; None if never."""
-    if not threshold > 0:
-        raise InsufficientDataError(f"threshold must be > 0, got {threshold}")
+    threshold = _real(threshold, "threshold", "> 0")
     d = series.d_values
     tau = series.grid.tau
     above = d > threshold

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .bessel import _tail_order
-from .errors import InvalidSpecError, _integer
+from .errors import InvalidSpecError, _integer, _real
 
 NORM_TOL = 1e-10
 
@@ -40,8 +40,7 @@ class LatticeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n_sites", _integer(self.n_sites, "n_sites", 2))
-        if not 0 < self.delta < np.inf:
-            raise InvalidSpecError(f"delta must be finite and > 0, got {self.delta}")
+        object.__setattr__(self, "delta", _real(self.delta, "delta", "> 0"))
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,7 @@ class TimeGrid:
 
     @staticmethod
     def uniform(tau_max: float, n_points: int) -> "TimeGrid":
-        if not 0.0 < tau_max < np.inf:
-            raise InvalidSpecError(f"tau_max must be finite and > 0, got {tau_max}")
+        tau_max = _real(tau_max, "tau_max", "> 0")
         return TimeGrid(np.linspace(0.0, tau_max, _integer(n_points, "n_points", 1)))
 
 

@@ -56,13 +56,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import _tail_order, bessel_j, bessel_j_array
-from .errors import InvalidSpecError, QuadratureError, SeriesDivergenceError
+from .errors import InvalidSpecError, QuadratureError, SeriesDivergenceError, _real
 
 #: below this distance c0_closed_form returns the delta = 1 branch, off by at
 #: most 1.33 |delta - 1| <= 6.7e-9; past it S_< / S_> raise where they cancel
@@ -72,6 +71,8 @@ _CLOSED_FORM_WINDOW = 5e-9
 SERIES_ACCURACY = 1e-8
 #: contour refinement agreement
 CONTOUR_ACCURACY = 1e-10
+#: contour point cap, 16 doublings from 64 (tau = 1e6 converges at exactly this)
+_MAX_NODES = 2 ** 22
 _EPS = float(np.finfo(float).eps)
 
 _VARIANTS = ("reconciled", "printed")
@@ -96,20 +97,17 @@ class RegimeParams:
     regime: str
 
 
-def _check_delta(delta: float):
+def _check_delta(delta: float) -> float:
     """delta > 0 with 2 delta^2 finite (a contour pole's residue squares it)."""
-    if not (isinstance(delta, numbers.Real) and delta > 0 and math.isfinite(2.0 * delta * delta)):
-        raise InvalidSpecError(f"delta must be > 0 with a finite 2*delta^2, got {delta!r}")
-
-
-def _check_tau(tau: float):
-    if not 0 <= tau < math.inf:
-        raise InvalidSpecError(f"tau must be a finite number >= 0, got {tau!r}")
+    delta = _real(delta, "delta", "> 0")
+    if not math.isfinite(2.0 * delta * delta):
+        raise InvalidSpecError(f"delta must have a finite 2*delta^2, got {delta}")
+    return delta
 
 
 def regime_params(delta: float) -> RegimeParams:
     """gamma = sqrt|1-delta^2|, A = (delta^2-2)/(delta^2-1), Omega = delta^2/gamma."""
-    _check_delta(delta)
+    delta = _check_delta(delta)
     d2 = delta * delta
     gamma = math.sqrt(abs(1.0 - d2))
     if delta == 1.0:
@@ -122,7 +120,7 @@ def regime_params(delta: float) -> RegimeParams:
 
 def c0_critical(tau: float) -> float:
     """Critical branch J_1(2 tau)/tau, with the exact limit 1 at tau = 0."""
-    _check_tau(tau)
+    tau = _real(tau, "tau", ">= 0")
     if tau == 0.0:
         return 1.0
     return bessel_j(1, 2.0 * tau) / tau
@@ -175,9 +173,10 @@ def s_less(tau: float, gamma: float, variant: str = "reconciled") -> float:
     i.e. delta -> 1, large tau) or needs more than 10^6 orders.
     """
     _check_variant(variant)
-    if not 0.0 < gamma <= 1.0:  # gamma = 1 where delta^2 underflows
-        raise InvalidSpecError(f"s_less needs 0 < gamma <= 1, got {gamma}")
-    _check_tau(tau)
+    gamma = _real(gamma, "gamma", "> 0")
+    if gamma > 1.0:  # gamma = 1 where delta^2 underflows
+        raise InvalidSpecError(f"gamma must be <= 1, got {gamma}")
+    tau = _real(tau, "tau", ">= 0")
     pref = 1.0 + 1.0 / (gamma * gamma)
     lead = 2.0 if variant == "printed" else 1.0
 
@@ -202,9 +201,8 @@ def s_greater(tau: float, gamma: float, variant: str = "reconciled") -> float:
     gamma -> 0 from delta > 1.
     """
     _check_variant(variant)
-    if not gamma > 0:
-        raise InvalidSpecError(f"s_greater needs gamma > 0, got {gamma}")
-    _check_tau(tau)
+    gamma = _real(gamma, "gamma", "> 0")
+    tau = _real(tau, "tau", ">= 0")
     pref = 1.0 - 1.0 / (gamma * gamma)
     r = gamma * gamma if variant == "printed" else 1.0 / (gamma * gamma)
 
@@ -224,8 +222,8 @@ def survival_series(delta: float, tau: float) -> float:
     delta = 1; its terms grow like exp(delta*tau) and cancel, so it raises
     SeriesDivergenceError for delta >~ 4.9 at tau <= 4 (>~ 1.9 at tau = 20).
     """
-    _check_delta(delta)
-    _check_tau(tau)
+    delta = _check_delta(delta)
+    tau = _real(tau, "tau", ">= 0")
     c = 1.0 - delta * delta
 
     def weights(cap):
@@ -259,7 +257,7 @@ def c0_closed_form(delta: float, tau: float, mode: str = "reconciled") -> comple
     """
     _check_variant(mode)
     params = regime_params(delta)
-    _check_tau(tau)
+    tau = _real(tau, "tau", ">= 0")
     if abs(delta - 1.0) < _CLOSED_FORM_WINDOW:
         return complex(c0_critical(tau))
     if delta < 1.0:
@@ -290,18 +288,18 @@ def c0_contour(delta: float, tau: float, pole_convention: str = "reconciled") ->
     delta -> sqrt(2)) the radius moves to exp(+-min(0.3, 1/tau)), on the far
     side of the poles, which keeps the exponential below e^2.03.  The point
     count doubles from 64 until two refinements agree within
-    CONTOUR_ACCURACY.
+    CONTOUR_ACCURACY, up to 2^22 points.
 
     Domain: reconciled values are within ~1e-10 of the exact amplitude for
     every delta > 0 and tau >= 0 (printed values are wrong for delta > 1
     and run away past sqrt(2)).  Raises QuadratureError where a pole residue overflows
-    or 20 doublings do not converge, and InvalidSpecError for delta <= 0,
-    an infinite 2 delta^2, tau < 0, a non-finite tau or an unknown pole
-    convention.
+    or 16 doublings (2^22 points) do not converge (tau >~ 1.048e6), and
+    InvalidSpecError for a delta or tau that is not a finite real number,
+    delta <= 0, an infinite 2 delta^2, tau < 0 or an unknown pole convention.
     """
     _check_variant(pole_convention)
-    _check_delta(delta)
-    _check_tau(tau)
+    delta = _check_delta(delta)
+    tau = _real(tau, "tau", ">= 0")
 
     q = 1.0 - delta * delta
     if pole_convention == "printed":
@@ -326,7 +324,7 @@ def c0_contour(delta: float, tau: float, pole_convention: str = "reconciled") ->
 
     n = 64
     prev, diff = None, math.inf
-    for _ in range(20):
+    while n <= _MAX_NODES:
         z = r * np.exp(2j * np.pi * np.arange(n) / n)
         # (1/2 pi i) closed integral of f dz = mean of f(z) z over the nodes
         val = complex(np.mean(np.exp(1j * tau * (z + 1.0 / z)) * (z * z - 1.0) / (z * z + q)))
@@ -337,7 +335,7 @@ def c0_contour(delta: float, tau: float, pole_convention: str = "reconciled") ->
         prev = val
         n *= 2
     raise QuadratureError(
-        f"contour quadrature did not converge after 20 doublings "
+        f"contour quadrature did not converge with {_MAX_NODES} points "
         f"(delta={delta}, tau={tau})",
         achieved=diff,
     )
@@ -356,7 +354,7 @@ def bound_state_energies(delta: float) -> tuple[float, float] | None:
     discrete energies +-delta^2/sqrt(delta^2-1) then sits outside the
     band [-2, 2].
     """
-    _check_delta(delta)
+    delta = _check_delta(delta)
     d2 = delta * delta
     if d2 - 2.0 <= _BOUND_MARGIN:
         return None

@@ -79,7 +79,7 @@ def test_domain_error_exits_1(tmp_path, capsys):
                           f"tau_max must be finite and > 0, got {float(tau_max)}"))
     for threshold in ("0", "-1", "nan"):
         cases.append((["finite-size", "--sites", "10", "--delta", "1", "--threshold", threshold],
-                       f"threshold must be > 0, got {float(threshold)}"))
+                       f"threshold must be finite and > 0, got {float(threshold)}"))
     for argv, message in cases:
         rc = main([*argv, "--out", str(out)])
         assert rc == 1, argv
@@ -88,21 +88,21 @@ def test_domain_error_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["compare", "--preset", "A2", "--steps", "5", "--step", "0"],
-        ["eme-simulate", "--preset", "A1", "--step", "nan"],
-        ["eme-simulate", "--preset", "A1", "--margin", "nan"],
-        ["eme-simulate", "--preset", "A1", "--margin", "-5"],
+        (["compare", "--preset", "A2", "--steps", "5", "--step", "0"], "dx must be finite and > 0"),
+        (["eme-simulate", "--preset", "A1", "--step", "nan"], "dx must be finite and > 0"),
+        (["eme-simulate", "--preset", "A1", "--margin", "nan"], "width must be finite and > 0"),
+        (["eme-simulate", "--preset", "A1", "--margin", "-5"], "height must be finite and > 0"),
     ],
     ids=["zero-step", "nan-step", "nan-margin", "negative-margin"],
 )
-def test_invalid_grid_step_exits_1(tmp_path, capsys, argv):
+def test_invalid_grid_step_exits_1(tmp_path, capsys, argv, message):
     out = tmp_path / "out.txt"
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
-    assert "step" in err or "width and height" in err
+    assert message in err
     assert not out.exists()
 
 
@@ -455,7 +455,7 @@ def test_eme_non_finite_origin_exits_1(mode_file, tmp_path, capsys, command, x0)
     bad.write_text(re.sub(r"x0=\S+", f"x0={x0}", pathlib.Path(mode_file).read_text(), count=1))
     out = tmp_path / "out.txt"
     assert main([command, "--mode-file", str(bad), "--out", str(out)]) == 1
-    assert f"x0={float(x0)}" in capsys.readouterr().err
+    assert f"{bad}: x0 must be finite, got {float(x0)}" in capsys.readouterr().err
     assert not out.exists()
 
 

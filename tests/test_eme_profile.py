@@ -77,9 +77,9 @@ def test_geometry_spacings():
 def test_geometry_must_be_finite(value):
     with pytest.raises(InvalidSpecError, match=f"centers must be finite, got \\(0.0, {value}\\)"):
         WaveguideGeometry((0.0, value))
-    with pytest.raises(InvalidSpecError, match=f"got d0={value}, d=27.1"):
+    with pytest.raises(InvalidSpecError, match=f"^d0 must be finite and > 0, got {value}$"):
         WaveguideGeometry.from_spacings(3, value, 27.1)
-    with pytest.raises(InvalidSpecError, match=f"got d0=27.1, d={value}"):
+    with pytest.raises(InvalidSpecError, match=f"^d must be finite and > 0, got {value}$"):
         WaveguideGeometry.from_spacings(3, 27.1, value)
 
 

@@ -255,6 +255,14 @@ def test_contour_domain_errors():
         c0_contour(0.5, 1.0, pole_convention="bogus")
 
 
+def test_contour_stops_doubling_at_its_node_cap():
+    # past tau ~ 1.048e6 the quadrature gives up at 2^22 points instead of doubling on
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="did not converge with 4194304 points"):
+        c0_contour(0.5, 1e7)
+    assert time.perf_counter() - start < 3.0
+
+
 # every evaluator shares one delta check and one tau check: nan, inf and
 # negative tau, and delta <= 0, nan, inf or with 2 delta^2 past the float
 # range raise InvalidSpecError before any series or quadrature runs
