@@ -153,7 +153,9 @@ def _cmd_eme_simulate(args):
 
 
 def _cmd_eme_reconstruct(args):
-    mode = read_field(args.mode_file).normalized()
+    mode = read_field(args.mode_file)
+    errors._real_array(mode.values, "mode", ">= 0")  # normalizing spreads a NaN
+    mode = mode.normalized()
     n_eff = implied_n_eff(mode, args.wavelength, args.n0) if args.n_eff is None else args.n_eff
     rec = reconstruct_index(mode, n_eff, args.wavelength, args.floor)
     write_field(args.out, Field(rec.grid, rec.n))

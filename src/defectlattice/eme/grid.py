@@ -61,9 +61,9 @@ class TransverseGrid:
     @staticmethod
     def centered(width: float, height: float, dx: float, dy: float) -> "TransverseGrid":
         """Grid spanning [-width/2, width/2] x [-height/2, height/2]."""
-        nx = int(round(_real(width, "width", "> 0") / _real(dx, "dx", "> 0"))) + 1
-        ny = int(round(_real(height, "height", "> 0") / _real(dy, "dy", "> 0"))) + 1
-        return TransverseGrid(nx, ny, dx, dy, -dx * (nx - 1) / 2.0, -dy * (ny - 1) / 2.0)
+        nx = int(round(_real(_real(width, "width", "> 0") / _real(dx, "dx", "> 0"), "width/dx")))
+        ny = int(round(_real(_real(height, "height", "> 0") / _real(dy, "dy", "> 0"), "height/dy")))
+        return TransverseGrid(nx + 1, ny + 1, dx, dy, -dx * nx / 2.0, -dy * ny / 2.0)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import GeometryError, InvalidSpecError, _integer, _real
+from ..errors import GeometryError, InvalidSpecError, _integer, _real, _real_array
 from .grid import TransverseGrid
 
 
@@ -43,12 +43,10 @@ class IndexProfile:
     n0: float
 
     def __post_init__(self):
-        n = np.asarray(self.n, dtype=float)
+        n = _real_array(self.n, "n")
         object.__setattr__(self, "n", n)
         if n.shape != (self.grid.ny, self.grid.nx):
             raise InvalidSpecError("index map shape does not match grid")
-        if not np.all(np.isfinite(n)):
-            raise InvalidSpecError("index map contains non-finite values")
         object.__setattr__(self, "n0", _real(self.n0, "n0", "> 0"))
 
 
@@ -59,14 +57,11 @@ class WaveguideGeometry:
     centers: tuple[float, ...]
 
     def __post_init__(self):
-        c = tuple(float(v) for v in self.centers)
-        object.__setattr__(self, "centers", c)
-        if len(c) < 1:
-            raise InvalidSpecError("geometry needs at least one guide")
-        if not np.all(np.isfinite(c)):
-            raise InvalidSpecError(f"guide centers must be finite, got {c}")
-        if any(b <= a for a, b in zip(c, c[1:])):
-            raise InvalidSpecError("guide centers must be strictly increasing")
+        c = _real_array(self.centers, "centers")
+        if c.ndim != 1 or c.size < 1 or np.any(np.diff(c) <= 0):
+            raise InvalidSpecError(
+                f"centers must be 1-d, non-empty and strictly increasing, got {c.tolist()}")
+        object.__setattr__(self, "centers", tuple(c.tolist()))
 
     @staticmethod
     def from_spacings(n_guides: int, d0: float, d: float) -> "WaveguideGeometry":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateInputError, InvalidSpecError, _real
+from ..errors import DegenerateInputError, InvalidSpecError, _real, _real_array
 from .grid import Field, TransverseGrid, inner
 from .modes import ModeSet
 from .profile import WaveguideGeometry
@@ -51,10 +51,7 @@ def propagate_eme(modes: ModeSet, input_field: Field, z_list_cm) -> list[Field]:
     Power in the modal subspace, sum |a_k|^2, is conserved exactly (the
     evolution is a pure phase per mode).  Every z must be finite and >= 0.
     """
-    z_arr = np.atleast_1d(np.asarray(z_list_cm, dtype=float))
-    bad = z_arr[~(np.isfinite(z_arr) & (z_arr >= 0))]
-    if bad.size:
-        raise InvalidSpecError(f"z must be finite and >= 0, got {bad[0]}")
+    z_arr = np.atleast_1d(_real_array(z_list_cm, "z", ">= 0"))
     u = _modal_amplitudes(modes, modal_coefficients(modes, input_field), z_arr)
     stack = np.stack([m.values for m in modes.modes])
     return [Field(modes.grid, np.tensordot(row, stack, axes=(0, 0))) for row in u]

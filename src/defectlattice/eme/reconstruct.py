@@ -36,6 +36,7 @@ from ..errors import (
     InvalidSpecError,
     SigmaExtractionError,
     _real,
+    _real_array,
 )
 from .grid import Field, TransverseGrid
 from .modes import _wavenumber, solve_modes
@@ -87,9 +88,7 @@ def reconstruct_index(
     n_eff = _real(n_eff, "n_eff", "> 0")
     if _real(intensity_floor, "intensity_floor", "> 0") > 1.0:
         raise InvalidSpecError(f"intensity_floor must be <= 1, got {intensity_floor}")
-    psi = np.asarray(mode.values, dtype=float)
-    if np.any(psi < 0):
-        raise InvalidSpecError("mode must be a non-negative amplitude (flat wavefront)")
+    psi = _real_array(mode.values, "mode", ">= 0")  # a flat wavefront: no phase to follow
     peak = float(psi.max())
     if peak <= 0.0:
         raise DegenerateInputError("mode is identically zero")
@@ -131,9 +130,8 @@ def implied_n_eff(mode: Field, wavelength: float, n0: float) -> float:
     noise while biasing the anchor only at the 1e-5 level.  n0 must be finite and > 0.
     """
     n0 = _real(n0, "n0", "> 0")
-    psi = np.asarray(mode.values, dtype=float)
-    peak = float(psi.max())
-    if peak <= 0.0:
+    psi = _real_array(mode.values, "mode", ">= 0")
+    if not psi.any():
         raise DegenerateInputError("mode is identically zero")
     g = mode.grid
     k0 = _wavenumber(wavelength)
@@ -228,6 +226,7 @@ def fit_ricker(
     Raises SigmaExtractionError when the reconstruction shows no interior
     minima and FitFailureError when the final fidelity is below 0.5.
     """
+    _real_array(measured_mode.values, "measured_mode", ">= 0")  # normalizing spreads a NaN
     mode = measured_mode.normalized()
     n_eff = implied_n_eff(mode, wavelength, n0)
     rec = reconstruct_index(mode, n_eff, wavelength, intensity_floor)

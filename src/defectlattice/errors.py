@@ -1,7 +1,9 @@
-"""Exception types shared across the toolkit, and the integer and real input checks."""
+"""Exception types shared across the toolkit, and the integer, real and real-array input checks."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class InvalidSpecError(ValueError):
@@ -80,3 +82,19 @@ def _real(value, name: str, bound: str = "") -> float:
     if not (math.isfinite(x) and (x > 0 if bound == "> 0" else x >= 0 or not bound)):
         raise InvalidSpecError(f"{name} must be finite{bound and ' and ' + bound}, got {value}")
     return x
+
+
+def _real_array(values, name: str, bound: str = "") -> np.ndarray:
+    """values as a float64 array (values itself when it is one); InvalidSpecError unless it
+    holds real numbers (no strings, None or complex) that each pass _real with bound."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise InvalidSpecError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    ok = np.isfinite(arr)
+    if bound:
+        ok &= arr > 0 if bound == "> 0" else arr >= 0
+    if not ok.all():  # _real raises for the first entry that fails, named by its index
+        at = np.unravel_index(np.argmin(ok), ok.shape)
+        _real(arr[at], f"{name}[{', '.join(map(str, at))}]", bound)
+    return arr

@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidSpecError, _real
+from .errors import InvalidSpecError, _real, _real_array
 from .lattice import (
     LatticeSpec,
     TimeGrid,
@@ -95,10 +95,9 @@ def preset_labels() -> tuple[str, ...]:
 
 
 def rms_error(a, b) -> float:
-    """Root mean square difference between two equal-length series."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 1:
+    """Root mean square difference between two arrays of the same shape."""
+    a, b = _real_array(a, "a"), _real_array(b, "b")
+    if a.shape != b.shape or a.size < 1:
         raise InvalidSpecError(f"series shapes differ or empty: {a.shape} vs {b.shape}")
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
@@ -190,9 +189,7 @@ def run_eme(
 ) -> EmeRun:
     """Full EME pipeline for a preset geometry on the given tau grid."""
     beta_fit = pair_splitting_beta(exp.d, config)
-    beta0_fit = (
-        beta_fit if exp.d0 == exp.d else pair_splitting_beta(exp.d0, config)
-    )
+    beta0_fit = pair_splitting_beta(exp.d0, config)
     geom = WaveguideGeometry.from_spacings(exp.n_sites, exp.d0, exp.d)
     tgrid = config.grid_for(geom)
     profile = array_profile(config.ricker(), geom, tgrid)
@@ -310,9 +307,7 @@ def compare_models(
         }
         rms["coupled_mode_vs_eme"] = {
             "site0": rms_error(cm[:, 0], eme_run.site_probs[:, 0]),
-            "all_sites": float(
-                np.sqrt(np.mean((cm - eme_run.site_probs) ** 2))
-            ),
+            "all_sites": rms_error(cm, eme_run.site_probs),
         }
     return ComparisonReport(
         exp.label, grid.tau, cf, cf_rate, cm, cm_rate, eme_run, eme_rate, rms

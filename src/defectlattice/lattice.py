@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .bessel import _tail_order
-from .errors import InvalidSpecError, _integer, _real
+from .errors import InvalidSpecError, _integer, _real, _real_array
 
 NORM_TOL = 1e-10
 
@@ -50,14 +50,10 @@ class TimeGrid:
     tau: np.ndarray
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
+        tau = _real_array(self.tau, "tau", ">= 0")
         object.__setattr__(self, "tau", tau)
         if tau.ndim != 1 or tau.size < 1:
             raise InvalidSpecError("tau must be a 1-d array with at least one entry")
-        if not np.all(np.isfinite(tau)):
-            raise InvalidSpecError("tau values must be finite")
-        if tau[0] < 0:
-            raise InvalidSpecError("tau must start at >= 0")
         if tau.size > 1 and not np.all(np.diff(tau) > 0):
             raise InvalidSpecError("tau must be strictly increasing")
 
@@ -78,13 +74,10 @@ class TridiagonalOperator:
     off_diagonal: np.ndarray
 
     def __post_init__(self):
-        off = np.asarray(self.off_diagonal, dtype=float)
+        off = _real_array(self.off_diagonal, "off_diagonal")
         object.__setattr__(self, "off_diagonal", off)
         if off.ndim != 1:
             raise InvalidSpecError(f"off_diagonal bonds must be a 1-d array, got shape {off.shape}")
-        bad = np.flatnonzero(~np.isfinite(off))
-        if bad.size:
-            raise InvalidSpecError(f"off_diagonal bonds must be finite; bonds {bad.tolist()} are not")
 
     @property
     def n_sites(self) -> int:
@@ -196,7 +189,7 @@ def effective_decay_rate(prob0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     probability make the log diverge); NaN is this package's in-memory
     missing-value marker, rendered as an empty CSV field on output.
     """
-    prob0 = np.asarray(prob0, dtype=float)
+    prob0 = _real_array(prob0, "prob0")
     if prob0.shape != (len(grid),):
         raise InvalidSpecError("prob0 length must match the grid")
     out = np.full(prob0.shape, np.nan)

@@ -10,8 +10,10 @@ import pytest
 
 from defectlattice.cli import main
 from defectlattice.eme import (
+    Field,
     RickerParams,
     TransverseGrid,
+    read_field,
     ricker_profile,
     solve_modes,
     write_field,
@@ -94,8 +96,9 @@ def test_domain_error_exits_1(tmp_path, capsys):
         (["eme-simulate", "--preset", "A1", "--step", "nan"], "dx must be finite and > 0"),
         (["eme-simulate", "--preset", "A1", "--margin", "nan"], "width must be finite and > 0"),
         (["eme-simulate", "--preset", "A1", "--margin", "-5"], "height must be finite and > 0"),
+        (["eme-simulate", "--preset", "A1", "--step", "1e-320"], "width/dx must be finite, got inf"),
     ],
-    ids=["zero-step", "nan-step", "nan-margin", "negative-margin"],
+    ids=["zero-step", "nan-step", "nan-margin", "negative-margin", "overflowing-step"],
 )
 def test_invalid_grid_step_exits_1(tmp_path, capsys, argv, message):
     out = tmp_path / "out.txt"
@@ -402,11 +405,18 @@ def test_eme_reconstruct_cli(mode_file, tmp_path):
     out = tmp_path / "index.txt"
     rc = main(["eme-reconstruct", "--mode-file", mode_file, "--out", str(out)])
     assert rc == 0
-    from defectlattice.eme import read_field
-
     rec = read_field(str(out))
     peak = np.nanmax(rec.values)
     assert peak == pytest.approx(1.457 + 3e-3, abs=3e-4)
+
+
+def test_eme_reconstruct_reports_negative_radicand(mode_file, tmp_path, capsys):
+    # an n_eff far below the guide's leaves points whose radicand is negative
+    out = tmp_path / "index.txt"
+    argv = ["eme-reconstruct", "--mode-file", mode_file, "--n-eff", "0.01", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "negative radicand at 412 points (masked)\n"
+    assert out.exists()
 
 
 def test_eme_fit_cli(mode_file, tmp_path):
@@ -456,6 +466,20 @@ def test_eme_non_finite_origin_exits_1(mode_file, tmp_path, capsys, command, x0)
     out = tmp_path / "out.txt"
     assert main([command, "--mode-file", str(bad), "--out", str(out)]) == 1
     assert f"{bad}: x0 must be finite, got {float(x0)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name", [("eme-reconstruct", "mode"), ("eme-fit", "measured_mode")])
+def test_eme_nan_pixel_exits_1(mode_file, tmp_path, capsys, command, name):
+    # named before normalizing, which would spread the NaN over the image
+    mode = read_field(mode_file)
+    values = mode.values.copy()
+    values[60, 40] = np.nan
+    bad = tmp_path / "mode.txt"
+    write_field(str(bad), Field(mode.grid, values))
+    out = tmp_path / "out.txt"
+    assert main([command, "--mode-file", str(bad), "--out", str(out)]) == 1
+    assert f"{name}[60, 40] must be finite and >= 0, got nan" in capsys.readouterr().err
     assert not out.exists()
 
 

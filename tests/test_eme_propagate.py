@@ -12,6 +12,7 @@ from defectlattice.eme import (
     array_profile,
     extract_intensities,
     gaussian_input,
+    inner,
     mode_fidelity,
     modal_coefficients,
     propagate_eme,
@@ -77,14 +78,6 @@ def test_modal_power_conserved(pair_system):
         assert np.sum(np.abs(a) ** 2) == pytest.approx(a0, rel=1e-10)
 
 
-@pytest.mark.parametrize("z", [np.nan, np.inf, -1.0])
-def test_propagation_rejects_bad_z(pair_system, z):
-    grid, geom, modes, _ = pair_system
-    inp = gaussian_input(geom, 3.0, 3.0, grid)
-    with pytest.raises(InvalidSpecError, match=f"z must be finite and >= 0, got {z}"):
-        propagate_eme(modes, inp, [0.0, z])
-
-
 def test_extraction_localizes(pair_system):
     grid, geom, _, phi = pair_system
     # field = localized mode on guide 1: all weight lands on guide 1
@@ -105,6 +98,27 @@ def test_extraction_variants(pair_system):
     assert coherent.sum() == pytest.approx(1.0, abs=1e-15)
     # both normalized readouts agree on which guide is brighter
     assert (printed[0] > printed[1]) == (coherent[0] > coherent[1])
+
+
+# function -> (call on a field from another grid, its message)
+_OTHER_GRID = {
+    "inner": (lambda phi, modes, geom, other: inner(phi, other), "fields live on different grids"),
+    "modal_coefficients": (lambda phi, modes, geom, other: modal_coefficients(modes, other),
+                           "input field and modes live on different grids"),
+    "extract_intensities": (lambda phi, modes, geom, other: extract_intensities(other, phi, geom),
+                            "field and localized mode live on different grids"),
+    "mode_fidelity": (lambda phi, modes, geom, other: mode_fidelity(phi, other),
+                      "fields live on different grids"),
+}
+
+
+@pytest.mark.parametrize("name", _OTHER_GRID)
+def test_operands_must_share_a_grid(pair_system, name):
+    _, geom, modes, phi = pair_system
+    other = Field(TransverseGrid.centered(10.0, 10.0, 0.5, 0.5), np.ones((21, 21)))
+    call, message = _OTHER_GRID[name]
+    with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+        call(phi, modes, geom, other)
 
 
 def test_extraction_rejects_zero_field(pair_system):

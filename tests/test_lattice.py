@@ -57,8 +57,6 @@ def test_grid_validation():
     with pytest.raises(InvalidSpecError):
         TimeGrid(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(InvalidSpecError):
-        TimeGrid(np.array([-1.0, 0.0]))
-    with pytest.raises(InvalidSpecError):
         TimeGrid(np.array([]))
     for tau_max in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InvalidSpecError, match="tau_max"):
@@ -88,10 +86,7 @@ def test_counts_must_be_integral(call, name, minimum):
     call(np.int64(minimum + 1))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_operator_bonds_must_be_finite(bad):
-    with pytest.raises(InvalidSpecError, match=r"off_diagonal bonds must be finite; bonds \[1\]"):
-        TridiagonalOperator([1.0, bad, 1.0])
+def test_operator_bonds_must_be_1d():
     with pytest.raises(InvalidSpecError, match="off_diagonal bonds must be a 1-d array"):
         TridiagonalOperator([[1.0, 1.0]])
 

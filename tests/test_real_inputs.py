@@ -1,8 +1,12 @@
-"""Every real-valued scalar input goes through one check, errors._real.
+"""Every real-valued input goes through one check: errors._real for a scalar,
+errors._real_array for an array.
 
-Each site rejects a string, None, NaN, +-inf and arrays (a 1-element and a
-0-d one) with InvalidSpecError naming the parameter, and so does each
-number outside the site's range.
+Each scalar site rejects a string, None, NaN, +-inf and arrays (a 1-element
+and a 0-d one) with InvalidSpecError naming the parameter, and so does each
+number outside the site's range.  Each array site rejects a string array and
+an array with a None or complex entry naming the parameter, and an array with
+a NaN, +-inf or out-of-range entry naming the parameter, the entry's index
+and its value.
 """
 
 import math
@@ -17,13 +21,16 @@ from defectlattice import (
     InvalidSpecError,
     LatticeSpec,
     TimeGrid,
+    TridiagonalOperator,
     bessel_j_array,
     bound_state_energies,
     c0_closed_form,
     c0_contour,
     c0_critical,
+    effective_decay_rate,
     onset_time,
     regime_params,
+    rms_error,
     s_greater,
     s_less,
     survival_series,
@@ -31,12 +38,15 @@ from defectlattice import (
 from defectlattice.eme import (
     Field,
     IndexProfile,
+    ModeSet,
     RickerParams,
     TransverseGrid,
     WaveguideGeometry,
+    fit_ricker,
     gaussian_input,
     helmholtz_matrix,
     implied_n_eff,
+    propagate_eme,
     reconstruct_index,
     shift_mode,
 )
@@ -45,6 +55,7 @@ GRID = TransverseGrid(8, 8, 1.0, 1.0, -3.5, -3.5)
 MODE = Field(GRID, np.ones((8, 8)))
 PROFILE = IndexProfile(GRID, np.full((8, 8), 1.457), 1.457)
 GEOM = WaveguideGeometry((0.0,))
+MODES = ModeSet(GRID, (MODE,), np.array([1.457]), 0.633, 1)
 SERIES = DeviationSeries(TimeGrid.uniform(1.0, 3), np.zeros(3), np.zeros(3))
 GRID_ARGS = {"nx": 8, "ny": 8, "dx": 1.0, "dy": 1.0, "x0": 0.0, "y0": 0.0}
 PRESET_ARGS = {"d0": 27.1, "d": 27.1, "beta0": 0.2, "beta": 0.2, "delta": 1.0}
@@ -119,7 +130,61 @@ CASES = [
 
 @pytest.mark.parametrize("site, value", CASES)
 def test_real_input_rejected(site, value):
-    call, name, _ = SITES[site]
-    with pytest.raises(InvalidSpecError, match=f"^{re.escape(name)} must "):
+    call, name, out = SITES[site]
+    bound = "> 0" if 0.0 in out else ">= 0" if out else ""
+    # 1e160 and 1.5 fail a check of the site's own after _real, in a message of its own
+    own = isinstance(value, float) and value in (1e160, 1.5)
+    must = ".+" if own else re.escape(f"be finite{bound and ' and ' + bound}")
+    with pytest.raises(InvalidSpecError,
+                       match=f"^{re.escape(name)} must {must}, got {re.escape(str(value))}$"):
         call(value)
 
+
+# site id -> (call with the bad array, parameter name, bound, a valid array, index of the bad entry)
+ARRAY_SITES = {
+    "TimeGrid.tau": (TimeGrid, "tau", ">= 0", np.array([0.0, 1.0, 2.0]), (1,)),
+    "TridiagonalOperator.off_diagonal": (TridiagonalOperator, "off_diagonal", "", np.ones(3), (1,)),
+    "IndexProfile.n": (lambda v: IndexProfile(GRID, v, 1.457), "n", "", PROFILE.n, (2, 3)),
+    "WaveguideGeometry.centers": (WaveguideGeometry, "centers", "", np.array([0.0, 30.0, 60.0]),
+                                  (1,)),
+    "propagate_eme.z": (lambda v: propagate_eme(MODES, MODE, v), "z", ">= 0", np.array([0.0, 1.0]),
+                        (1,)),
+    "reconstruct_index.mode": (lambda v: reconstruct_index(Field(GRID, v), 1.457, 0.633), "mode",
+                               ">= 0", MODE.values, (2, 3)),
+    "implied_n_eff.mode": (lambda v: implied_n_eff(Field(GRID, v), 0.633, 1.457), "mode", ">= 0",
+                           MODE.values, (2, 3)),
+    "fit_ricker.measured_mode": (lambda v: fit_ricker(Field(GRID, v), 0.633, 1.457),
+                                 "measured_mode", ">= 0", MODE.values, (2, 3)),
+    "effective_decay_rate.prob0": (lambda v: effective_decay_rate(v, TimeGrid.uniform(1.0, 3)),
+                                   "prob0", "", np.array([1.0, 0.5, 0.25]), (1,)),
+    "rms_error.a": (lambda v: rms_error(v, np.zeros(3)), "a", "", np.zeros(3), (1,)),
+    "rms_error.b": (lambda v: rms_error(np.zeros(3), v), "b", "", np.zeros(3), (1,)),
+}
+
+# label -> (dtype of the bad array, its bad entry); the string array holds only strings
+BAD_ARRAYS = {"str": (str, None), "None": (object, None), "complex": (complex, 1j),
+              "nan": (float, math.nan), "inf": (float, math.inf), "-inf": (float, -math.inf),
+              "-1.0": (float, -1.0)}
+
+ARRAY_CASES = [
+    pytest.param(site, label, id=f"{site}-{label}")
+    for site, (_, _, bound, _, _) in ARRAY_SITES.items()
+    for label in BAD_ARRAYS
+    if bound or label != "-1.0"
+]
+
+
+@pytest.mark.parametrize("site, label", ARRAY_CASES)
+def test_real_array_input_rejected(site, label):
+    call, name, bound, valid, at = ARRAY_SITES[site]
+    dtype, entry = BAD_ARRAYS[label]
+    values = valid.astype(dtype)
+    if dtype is not str:
+        values[at] = entry
+    if dtype is float:
+        index = ", ".join(map(str, at))
+        message = f"{name}[{index}] must be finite{bound and ' and ' + bound}, got {entry}"
+    else:  # a wrong type: the dtype is named, not the entry
+        message = f"{name} must be an array of real numbers, got dtype {values.dtype}"
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        call(values)
