@@ -18,6 +18,13 @@ def test_grid_validation():
         TransverseGrid(20, 20, 0.5, float("inf"), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("x0, y0", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf)])
+def test_grid_origin_must_be_finite(x0, y0):
+    name, value = ("x0", x0) if not np.isfinite(x0) else ("y0", y0)
+    with pytest.raises(InvalidSpecError, match=f"^{name} must be finite, got {value}$"):
+        TransverseGrid(20, 20, 0.5, 0.5, x0, y0)
+
+
 @pytest.mark.parametrize("step", [0.0, -0.5, float("nan"), float("inf")])
 def test_centered_checks_steps_before_dividing(step):
     with pytest.raises(InvalidSpecError, match=f"^dx must be finite and > 0, got {step}$"):
