@@ -154,7 +154,7 @@ def _cmd_eme_simulate(args):
 
 def _cmd_eme_reconstruct(args):
     mode = read_field(args.mode_file)
-    errors._real_array(mode.values, "mode", ">= 0")  # normalizing spreads a NaN
+    errors._real_array(mode.values, "mode", ">= 0")  # names a bad pixel; normalized() cannot
     mode = mode.normalized()
     n_eff = implied_n_eff(mode, args.wavelength, args.n0) if args.n_eff is None else args.n_eff
     rec = reconstruct_index(mode, n_eff, args.wavelength, args.floor)

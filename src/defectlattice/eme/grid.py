@@ -20,6 +20,12 @@ from ..errors import InvalidSpecError, _integer, _real
 from ..textio import atomic_write
 
 
+# the heaviest mode solve, the ten A1 supermodes on the half grid, peaks at
+# about 1.1 kB per grid point (1122 B at step 0.5, 1134 B at 0.4, imports
+# included), so a grid at this cap needs about 2.4 GB
+_MAX_POINTS = 2 ** 21
+
+
 def _axis(first: float, step: float, n: int) -> np.ndarray:
     """first + step*j as centre + step*(j - (n-1)/2): mirror-exact about a 0 centre."""
     half = (n - 1) / 2.0
@@ -60,9 +66,15 @@ class TransverseGrid:
 
     @staticmethod
     def centered(width: float, height: float, dx: float, dy: float) -> "TransverseGrid":
-        """Grid spanning [-width/2, width/2] x [-height/2, height/2]."""
+        """Grid spanning [-width/2, width/2] x [-height/2, height/2], of at most
+        _MAX_POINTS points."""
         nx = int(round(_real(_real(width, "width", "> 0") / _real(dx, "dx", "> 0"), "width/dx")))
         ny = int(round(_real(_real(height, "height", "> 0") / _real(dy, "dy", "> 0"), "height/dy")))
+        if (nx + 1) * (ny + 1) > _MAX_POINTS:
+            raise InvalidSpecError(
+                f"a {width} x {height} um grid at steps {dx} x {dy} um has {(nx + 1) * (ny + 1)} "
+                f"points, more than the {_MAX_POINTS} a mode solve fits in memory; use larger steps"
+            )
         return TransverseGrid(nx + 1, ny + 1, dx, dy, -dx * nx / 2.0, -dy * ny / 2.0)
 
 
@@ -74,7 +86,10 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values)
+        try:
+            v = np.asarray(self.values)
+        except ValueError:  # a ragged nested sequence
+            raise InvalidSpecError("field values must be an array, got a ragged sequence") from None
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.ny, self.grid.nx):
             raise InvalidSpecError(
@@ -85,9 +100,15 @@ class Field:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_area))
 
     def normalized(self) -> "Field":
+        """The field over its norm; InvalidSpecError unless the norm is finite and > 0."""
         n = self.norm()
         if n == 0.0:
             raise InvalidSpecError("cannot normalize a zero field")
+        if not np.isfinite(n):
+            raise InvalidSpecError(
+                f"cannot normalize a field of norm {n}: a value is not finite or its square "
+                "overflows"
+            )
         return Field(self.grid, self.values / n)
 
 

@@ -38,14 +38,38 @@ eigenvector is again positive and so even, hence the odd half tops out
 below the even half.  Each block is asked for min(count, k) pairs, and
 the merged pairs are cut to the top k, which are exactly the bound top k.
 
-Each block is solved by shift-invert Lanczos with the shift placed just
-above k0^2 max(n)^2 (an upper bound on the spectrum, since the Dirichlet
-Laplacian is negative definite), so the shifted operator is negative
-definite and is factored without pivoting in SuperLU's symmetric mode
-under George & Liu's minimum-degree ordering of A^T + A.  ARPACK's
-Lanczos iteration runs on that factorization with a subspace of
-max(20, 2k+1) vectors.  The start vector is the normalized all-ones
-vector, so repeated solves are bit-for-bit reproducible.
+Sectors.  The same argument makes the top mode of the x-even (x-odd)
+sector of an x-symmetric profile the top of its x-even (x-odd), y-even
+block.  So the two supermodes of a mirror-symmetric pair of guides are
+two k = 1 solves, one block each, with no count: the pair calibration of
+``experiments.pair_splitting_beta`` factors twice, where solving for
+k = 2 factors five times (three counts, two solves).
+
+Shift placement.  Each block is solved by shift-invert Lanczos.  By
+default the shift sigma sits just above k0^2 max(n)^2, an upper bound on
+the spectrum (the Dirichlet Laplacian is negative definite), so the
+shifted matrix A - sigma*I is negative definite and the eigenvalues
+nearest sigma are the top ones.  But the supermodes of an array crowd
+into a band far below that bound: the ten of a preset array lie within
+about 2.5e-6 of each other in n_eff and about 1.8e-3 below sigma, so
+shift-invert sees one tight cluster and ARPACK restarts many times.
+Lanczos converges fastest with the shift inside the wanted cluster
+(Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), and
+``experiments.run_eme`` places it at k0^2 n_eff^2 of the isolated guide.
+That shifted matrix is indefinite, and its symmetric LDL^T counts p, the
+block's eigenvalues above the shift, at no extra cost.  Completeness
+rule: the want pairs that Lanczos returns nearest the shift are exactly
+the block's top want if p of them lie above it (so p <= want): every
+eigenvalue above the shift is then among them, and the rest are the
+nearest ones below it.  A block whose factorization cannot count
+(exactly singular, or not symmetric), or whose pairs break the rule, is
+solved again at the default shift.
+
+Every factorization is SuperLU's symmetric mode without pivoting, under
+George & Liu's minimum-degree ordering of A^T + A.  ARPACK's Lanczos
+iteration runs on it with a subspace of max(20, 2k+1) vectors.  The
+start vector is the normalized all-ones vector, so repeated solves are
+bit-for-bit reproducible.
 
 Bound modes decay exponentially; rather than silently truncating them,
 any retained mode whose boundary amplitude exceeds 1e-6 of its peak
@@ -157,23 +181,29 @@ def _factor(shifted: sp.csc_matrix):
     )
 
 
-def _count_above(shifted: sp.csc_matrix, unknown: int) -> int:
-    """Eigenvalues of A above t, from the LDL^T inertia of shifted = A - t*I;
-    `unknown` when the factorization cannot tell."""
+def _try_factor(shifted: sp.csc_matrix):
+    """_factor(shifted), or None when shifted is exactly singular (its shift
+    is an eigenvalue)."""
     try:
-        lu = _factor(shifted)
-    except RuntimeError:  # exactly singular: t is an eigenvalue
-        return unknown
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return unknown  # not a symmetric factorization
+        return _factor(shifted)
+    except RuntimeError:
+        return None
+
+
+def _count_above(lu) -> int | None:
+    """Eigenvalues of A above t from the LDL^T inertia of lu, the
+    factorization of A - t*I; None when lu cannot tell: exactly singular
+    (None itself) or not a symmetric factorization."""
+    if lu is None or not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
     return int(np.count_nonzero(lu.U.diagonal() > 0.0))
 
 
-def _top_eigenpairs(shifted: sp.csc_matrix, sigma: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _lanczos(shifted: sp.csc_matrix, lu, sigma: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k eigenpairs of A nearest sigma (shift-invert Lanczos), unsorted, from
-    shifted = A - sigma*I."""
+    shifted = A - sigma*I and its factorization lu."""
     n_tot = shifted.shape[0]
-    op_inv = LinearOperator(shifted.shape, matvec=_factor(shifted).solve, dtype=float)
+    op_inv = LinearOperator(shifted.shape, matvec=lu.solve, dtype=float)
     # given sigma and OPinv (mode 'normal'), eigsh has no matvec and reads its
     # first argument only for the shape and dtype, so A itself is not needed
     return eigsh(
@@ -188,17 +218,46 @@ def _top_eigenpairs(shifted: sp.csc_matrix, sigma: float, k: int) -> tuple[np.nd
     )
 
 
+def _in_band_pairs(shifted: sp.csc_matrix, shift: float, k: int):
+    """The k eigenpairs of A nearest an in-band shift, from shifted = A -
+    shift*I, where the completeness rule certifies them as the top k (see
+    the module docstring); None where it cannot."""
+    lu = _try_factor(shifted)
+    if lu is None:
+        return None
+    w, v = _lanczos(shifted, lu, shift, k)
+    # counted after the solve: reading lu.U keeps a copy of the factors
+    # alive as long as lu
+    return (w, v) if np.count_nonzero(w > shift) == _count_above(lu) else None
+
+
+def _top_eigenpairs(
+    profile: IndexProfile, k0: float, x: tuple, y: tuple, sigma: float, k: int,
+    in_band: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The top k eigenpairs of one parity block, unsorted: at the in-band
+    shift `in_band` where they are certified, else at the far shift sigma."""
+    pairs = None if in_band is None else _in_band_pairs(
+        _operator(profile, k0, x, y, in_band), in_band, k)
+    if pairs is None:
+        shifted = _operator(profile, k0, x, y, sigma)
+        pairs = _lanczos(shifted, _factor(shifted), sigma, k)
+    return pairs
+
+
 def _block_eigenpairs(
-    profile: IndexProfile, k0: float, sigma: float, k: int
+    profile: IndexProfile, k0: float, sigma: float, k: int,
+    in_band: float | None = None, sector: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs from the parity blocks as (values, (m, ny, nx) full-grid
-    vectors); they include the top k (see the module docstring)."""
+    vectors); they include the top k of the profile, or of its x-even
+    (sector 0) or x-odd (sector 1) sector (see the module docstring)."""
     g, n = profile.grid, profile.n
     xs = _parity_bases(g.nx, g.dx, np.array_equal(n, n[:, ::-1]))
     ys = _parity_bases(g.ny, g.dy, np.array_equal(n, n[::-1]))
-    blocks = [(ix, iy) for iy in range(len(ys)) for ix in range(len(xs))]
+    blocks = [(ix, iy) for iy in range(len(ys)) for ix in range(len(xs)) if sector in (None, ix)]
     if k == 1:
-        blocks = blocks[:1]  # all-even: holds the top mode (Perron-Frobenius)
+        blocks = blocks[:1]  # even in y, and in x without a sector: holds the top mode
     t = k0 ** 2 * profile.n0 ** 2
     counts = {}
     vals, fields = [np.empty(0)], [np.empty((0, g.ny, g.nx))]
@@ -208,11 +267,12 @@ def _block_eigenpairs(
             continue
         x, y = xs[ix], ys[iy]
         (px, _, x0), (py, _, y0) = x, y
-        counts[ix, iy] = 1 if k == 1 else _count_above(_operator(profile, k0, x, y, t), unknown=k)
+        count = 1 if k == 1 else _count_above(_try_factor(_operator(profile, k0, x, y, t)))
+        counts[ix, iy] = k if count is None else count
         want = min(counts[ix, iy], k, (g.nx - x0) * (g.ny - y0) - 2)
         if want < 1:
             continue
-        w, v = _top_eigenpairs(_operator(profile, k0, x, y, sigma), sigma, want)
+        w, v = _top_eigenpairs(profile, k0, x, y, sigma, want, in_band)
         # unfold the block's vectors (rows x-major, y-minor) with one sparse
         # product per axis; every row of P holds one entry, so each value is
         # (py * b) * px, rounded in the order of py @ b @ px.T per vector
@@ -233,14 +293,26 @@ def solve_modes(
     fitting loops that probe deliberately weak candidate profiles whose
     tails are clipped by the domain.
     """
+    return _solve_modes(profile, wavelength, n_modes, check_edges)
+
+
+def _solve_modes(
+    profile: IndexProfile, wavelength: float, n_modes: int, check_edges: bool = True,
+    band: float | None = None, sector: int | None = None,
+) -> ModeSet:
+    """solve_modes, with the Lanczos shift at k0^2 band^2 for an effective
+    index `band` inside the wanted band, or restricted to the x-even
+    (sector 0) or x-odd (sector 1) sector of an x-symmetric profile (see the
+    module docstring); solve_modes is the far-shift case on every sector."""
     n_modes = _integer(n_modes, "n_modes", 1)
     k0 = _wavenumber(wavelength)
     g = profile.grid
     k = min(n_modes, g.nx * g.ny - 2)
     sigma = k0 ** 2 * float(profile.n.max()) ** 2 * (1.0 + 1e-9) + 1e-9
+    shift = None if band is None else k0 ** 2 * band ** 2
 
     try:
-        vals, fields = _block_eigenpairs(profile, k0, sigma, k)
+        vals, fields = _block_eigenpairs(profile, k0, sigma, k, shift, sector)
     except (ArpackError, ArpackNoConvergence, RuntimeError) as exc:
         raise EigensolverError(f"mode solve failed on {g.nx}x{g.ny} grid: {exc}") from exc
 

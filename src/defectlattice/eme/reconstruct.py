@@ -226,7 +226,7 @@ def fit_ricker(
     Raises SigmaExtractionError when the reconstruction shows no interior
     minima and FitFailureError when the final fidelity is below 0.5.
     """
-    _real_array(measured_mode.values, "measured_mode", ">= 0")  # normalizing spreads a NaN
+    _real_array(measured_mode.values, "measured_mode", ">= 0")  # names a bad pixel
     mode = measured_mode.normalized()
     n_eff = implied_n_eff(mode, wavelength, n0)
     rec = reconstruct_index(mode, n_eff, wavelength, intensity_floor)

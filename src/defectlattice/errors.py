@@ -87,7 +87,11 @@ def _real(value, name: str, bound: str = "") -> float:
 def _real_array(values, name: str, bound: str = "") -> np.ndarray:
     """values as a float64 array (values itself when it is one); InvalidSpecError unless it
     holds real numbers (no strings, None or complex) that each pass _real with bound."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nested sequence
+        raise InvalidSpecError(
+            f"{name} must be an array of real numbers, got a ragged sequence") from None
     if arr.dtype.kind not in "biuf":
         raise InvalidSpecError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
     arr = arr.astype(float, copy=False)

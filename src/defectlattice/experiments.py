@@ -36,8 +36,8 @@ from .lattice import (
     site_probabilities,
 )
 from .survival import c0_closed_form
-from .eme.grid import TransverseGrid
-from .eme.modes import solve_modes
+from .eme.grid import Field, TransverseGrid
+from .eme.modes import _solve_modes, solve_modes
 from .eme.profile import RickerParams, WaveguideGeometry, array_profile, ricker_profile
 from .eme.propagate import (
     UM_PER_CM,
@@ -142,22 +142,44 @@ def pair_splitting_beta(gap_um: float, config: EmeConfig = DEFAULT_EME_CONFIG) -
     """Coupling (1/cm) from the supermode splitting of two guides at gap_um.
 
     beta = pi * (n_eff+ - n_eff-) / lambda, converted from 1/um to 1/cm.
-    Raises InvalidSpecError unless beta is finite and > 0: the EME time
-    axis is tau / beta.  Cached: the same calibration is shared by every
-    preset at the same gap.
+    The pair is mirror-exact in x on its centred grid, so n_eff+ and
+    n_eff- are the tops of its x-even and x-odd sectors: two k = 1 solves
+    at the far shift, with no bound-mode count (see eme.modes).  Raises
+    InvalidSpecError unless both are bound and beta is finite and > 0: the
+    EME time axis is tau / beta.  Cached: the same calibration is shared by
+    every preset at the same gap.
     """
     geom = WaveguideGeometry.from_spacings(2, gap_um, gap_um)
     profile = array_profile(config.ricker(), geom, config.grid_for(geom))
-    ms = solve_modes(profile, config.wavelength, 2)
-    if ms.n_modes < 2:
+    even, odd = (_solve_modes(profile, config.wavelength, 1, sector=s) for s in (0, 1))
+    if even.n_modes < 1 or odd.n_modes < 1:
         raise InvalidSpecError(f"two-guide system at gap {gap_um} um has < 2 bound modes")
-    beta = float(np.pi * (ms.n_eff[0] - ms.n_eff[1]) / config.wavelength * UM_PER_CM)
+    beta = float(np.pi * (even.n_eff[0] - odd.n_eff[0]) / config.wavelength * UM_PER_CM)
     if not (math.isfinite(beta) and beta > 0.0):
         raise InvalidSpecError(
             f"two-guide supermode splitting at gap {gap_um} um gives coupling {beta:g}/cm; "
             "the guides do not couple at this configuration"
         )
     return beta
+
+
+def _isolated_mode(config: EmeConfig, tgrid: TransverseGrid) -> tuple[float, Field]:
+    """n_eff and mode of one guide at x = 0 on the centred grid tgrid.
+
+    The mode is solved on tgrid's central square, 2*margin wide (the ny or
+    ny + 1 middle columns, keeping the parity of nx, so that the window's
+    samples are tgrid's own, bit for bit), and zero-padded back to tgrid.
+    """
+    cut = (tgrid.nx - tgrid.ny) // 2  # columns left out on each side
+    window = TransverseGrid(
+        tgrid.nx - 2 * cut, tgrid.ny, tgrid.dx, tgrid.dy, float(tgrid.x[cut]), tgrid.y0
+    )
+    single = solve_modes(ricker_profile(config.ricker(), window), config.wavelength, 1)
+    if single.n_modes < 1:
+        raise InvalidSpecError("isolated guide binds no mode at this configuration")
+    values = np.zeros((tgrid.ny, tgrid.nx))
+    values[:, cut:tgrid.nx - cut] = single.modes[0].values
+    return float(single.n_eff[0]), Field(tgrid, values)
 
 
 @dataclass(frozen=True)
@@ -187,18 +209,19 @@ def run_eme(
     config: EmeConfig = DEFAULT_EME_CONFIG,
     coherent: bool = False,
 ) -> EmeRun:
-    """Full EME pipeline for a preset geometry on the given tau grid."""
-    beta_fit = pair_splitting_beta(exp.d, config)
-    beta0_fit = pair_splitting_beta(exp.d0, config)
+    """Full EME pipeline for a preset geometry on the given tau grid.
+
+    The isolated guide is solved first; its n_eff places the array solve's
+    Lanczos shift inside the supermode band (see eme.modes).
+    """
     geom = WaveguideGeometry.from_spacings(exp.n_sites, exp.d0, exp.d)
     tgrid = config.grid_for(geom)
+    n_eff, phi = _isolated_mode(config, tgrid)
+    beta_fit = pair_splitting_beta(exp.d, config)
+    beta0_fit = pair_splitting_beta(exp.d0, config)
     profile = array_profile(config.ricker(), geom, tgrid)
-    modes = solve_modes(profile, config.wavelength, exp.n_sites)
+    modes = _solve_modes(profile, config.wavelength, exp.n_sites, band=n_eff)
 
-    single = solve_modes(ricker_profile(config.ricker(), tgrid), config.wavelength, 1)
-    if single.n_modes < 1:
-        raise InvalidSpecError("isolated guide binds no mode at this configuration")
-    phi = single.modes[0]
     # launch waist matched to the isolated mode's second moments
     I = phi.values ** 2
     X, Y = tgrid.mesh()

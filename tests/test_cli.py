@@ -471,7 +471,7 @@ def test_eme_non_finite_origin_exits_1(mode_file, tmp_path, capsys, command, x0)
 
 @pytest.mark.parametrize("command, name", [("eme-reconstruct", "mode"), ("eme-fit", "measured_mode")])
 def test_eme_nan_pixel_exits_1(mode_file, tmp_path, capsys, command, name):
-    # named before normalizing, which would spread the NaN over the image
+    # named before normalizing, which refuses a NaN without naming the pixel
     mode = read_field(mode_file)
     values = mode.values.copy()
     values[60, 40] = np.nan

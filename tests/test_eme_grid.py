@@ -33,6 +33,16 @@ def test_centered_checks_steps_before_dividing(step):
         TransverseGrid.centered(10.0, 10.0, 0.5, step)
 
 
+def test_centered_caps_the_point_count():
+    # 2048 x 1024 points is the cap; one more row is refused, and so is the
+    # A1 grid at a 1e-3 um step (6e10 points), before anything is allocated
+    assert TransverseGrid.centered(2047.0, 1023.0, 1.0, 1.0).nx == 2048
+    with pytest.raises(InvalidSpecError, match="has 2099200 points, more than the 2097152"):
+        TransverseGrid.centered(2047.0, 1024.0, 1.0, 1.0)
+    with pytest.raises(InvalidSpecError, match="has 63024560001 points"):
+        TransverseGrid.centered(404.0, 156.0, 1e-3, 1e-3)
+
+
 def test_centered_grid_symmetry():
     g = TransverseGrid.centered(10.0, 8.0, 0.5, 0.5)
     assert g.x[0] == pytest.approx(-g.x[-1])
@@ -52,6 +62,14 @@ def test_norm_and_inner():
     f = Field(g, np.exp(-(X ** 2 + Y ** 2))).normalized()
     assert f.norm() == pytest.approx(1.0, rel=1e-12)
     assert inner(f, f).real == pytest.approx(1.0, rel=1e-12)
+
+
+def test_normalized_rejects_a_nan():
+    # one NaN would otherwise turn all 64 values NaN
+    values = np.ones((8, 8))
+    values[3, 4] = np.nan
+    with pytest.raises(InvalidSpecError, match="^cannot normalize a field of norm nan"):
+        Field(TransverseGrid(8, 8, 1.0, 1.0, 0.0, 0.0), values).normalized()
 
 
 def test_file_round_trip_bit_exact(tmp_path, rng):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh, splu
 
 import defectlattice.eme.modes as modes_module
-from defectlattice import GeometryError, InvalidSpecError
+from defectlattice import EigensolverError, GeometryError, InvalidSpecError
 from defectlattice.eme import (
     RickerParams,
     TransverseGrid,
@@ -373,3 +373,150 @@ def test_operator_bits_match_direct_construction(center, symmetric, n_blocks, fa
     matched = [[i for i, s in enumerate(shifted) if _same_bits(A, s)] for A in factored]
     assert matched[:2] == [[0], [1]]
     assert all(matched)
+
+
+# ---------------------------------------------------------------- fallbacks
+
+TRIO_GRID = TransverseGrid.centered(86.0, 72.0, 0.5, 0.5)
+
+
+@pytest.fixture(scope="module")
+def trio():
+    """A three-guide desk array (symmetric in x and y) and its far-shift solve."""
+    profile = array_profile(DESK, TRIO, TRIO_GRID)
+    return profile, solve_modes(profile, LAM, 4)
+
+
+@pytest.fixture
+def shifts(monkeypatch):
+    """The shifts of the Lanczos runs during a test."""
+    sigmas = []
+
+    def spy(*args, **kw):
+        sigmas.append(kw["sigma"])
+        return eigsh(*args, **kw)
+
+    monkeypatch.setattr(modes_module, "eigsh", spy)
+    return sigmas
+
+
+def _far_shift(profile):
+    return (2.0 * np.pi / LAM) ** 2 * float(profile.n.max()) ** 2 * (1.0 + 1e-9) + 1e-9
+
+
+def test_count_above_reads_the_inertia_or_cannot_tell():
+    # a symmetric LDL^T counts its positive pivots; an exactly singular matrix
+    # has no factorization, and a zero diagonal forces a row pivot
+    def count(matrix):
+        return modes_module._count_above(modes_module._try_factor(sp.csc_matrix(matrix)))
+
+    assert count(np.diag([2.0, -1.0, 3.0])) == 2
+    assert modes_module._try_factor(sp.csc_matrix(np.diag([1.0, 0.0, 1.0]))) is None
+    assert count(np.diag([1.0, 0.0, 1.0])) is None
+    swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert modes_module._try_factor(sp.csc_matrix(swap)) is not None
+    assert count(swap) is None
+
+
+class _RowPivoted:
+    """A real factorization that reports a row permutation of its own."""
+
+    def __init__(self, lu):
+        self.solve, self.U, self.perm_c, self.perm_r = lu.solve, lu.U, lu.perm_c, lu.perm_r[::-1]
+
+
+def _fail_factorizations(monkeypatch, failure, fails):
+    """Make each factorization whose call number (from 1) passes `fails`
+    exactly singular or row-pivoted."""
+    real_factor, calls = modes_module._factor, []
+
+    def factor(shifted):
+        calls.append(shifted.shape[0])
+        if not fails(len(calls)):
+            return real_factor(shifted)
+        if failure == "singular":
+            raise RuntimeError("Factor is exactly singular")
+        return _RowPivoted(real_factor(shifted))
+
+    monkeypatch.setattr(modes_module, "_factor", factor)
+
+
+@pytest.mark.parametrize("failure", ["singular", "row-pivoted"])
+def test_unknown_counts_ask_each_block_for_k(failure, trio, monkeypatch, solved_sizes):
+    # with no count, every block is asked for k pairs (the y-odd ones too),
+    # and the bound subset of the merged pairs is still the top k
+    profile, _ = trio
+    # without an in-band shift each block factors for its count, then for its solve
+    _fail_factorizations(monkeypatch, failure, lambda call: call % 2 == 1)
+    ms = solve_modes(profile, LAM, 4)
+    assert solved_sizes == [_block_size(TRIO_GRID, px, py)
+                            for px, py in [(1, 1), (-1, 1), (1, -1), (-1, -1)]]
+    assert ms.n_modes == 3
+    _assert_matches_reference(ms, profile, 4)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [RuntimeError("Factor is exactly singular"), ArpackError(-9999),
+     ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))],
+    ids=["singular", "arpack-error", "no-convergence"],
+)
+def test_solver_failures_raise_eigensolver_error(error, monkeypatch):
+    def fails(*args, **kw):
+        raise error
+
+    monkeypatch.setattr(modes_module, "splu" if isinstance(error, RuntimeError) else "eigsh", fails)
+    profile = ricker_profile(DESK, TransverseGrid.centered(72.0, 72.0, 0.5, 0.5))
+    with pytest.raises(EigensolverError, match=r"^mode solve failed on 145x145 grid: ") as exc:
+        solve_modes(profile, LAM, 1)
+    assert exc.value.__cause__ is error
+
+
+def test_in_band_shift_is_used_where_certified(trio, shifts):
+    # the isolated guide's n_eff lies above every bound mode of the trio, so
+    # no eigenvalue is above the shift and the pairs nearest it are the top ones
+    profile, far = trio
+    band = solve_modes(ricker_profile(DESK, TransverseGrid.centered(72.0, 72.0, 0.5, 0.5)),
+                       LAM, 1).n_eff[0]
+    shifts.clear()
+    ms = modes_module._solve_modes(profile, LAM, 4, band=band)
+    assert shifts == [(2.0 * np.pi / LAM) ** 2 * band ** 2] * 2
+    assert np.array_equal(ms.n_eff, far.n_eff)
+    for mode, ref in zip(ms.modes, far.modes):
+        assert np.max(np.abs(mode.values - ref.values)) < 1e-10 * np.max(ref.values)
+
+
+@pytest.mark.parametrize(
+    "k, band_above_n0, failure, runs",
+    [
+        # one eigenvalue above the shift, and the pair nearest it is the top one
+        (1, 5e-4, None, "in-band"),
+        # at the same shift, the factorization cannot count
+        (1, 5e-4, "singular", "far"),
+        (1, 5e-4, "row-pivoted", "in-band far"),
+        # two eigenvalues above a shift just above n0, one pair asked for
+        (1, 1e-7, None, "in-band far"),
+        # the pairs nearest that shift are unbound ones below it (both x blocks)
+        (4, 1e-7, None, "in-band far in-band far"),
+    ],
+    ids=["certified", "singular", "row-pivoted", "above-exceeds-request", "nearest-below"],
+)
+def test_in_band_solve_is_certified_or_falls_back_to_far_shift(
+    k, band_above_n0, failure, runs, trio, monkeypatch, shifts
+):
+    # an uncertified block is solved again at the far shift, so the result is
+    # bit for bit the far-shift solve's
+    profile, _ = trio
+    far = solve_modes(profile, LAM, k)
+    shifts.clear()
+    if failure is not None:  # k = 1: the in-band factorization comes first
+        _fail_factorizations(monkeypatch, failure, lambda call: call == 1)
+    band = N0 + band_above_n0
+    ms = modes_module._solve_modes(profile, LAM, k, band=band)
+    in_band = (2.0 * np.pi / LAM) ** 2 * band ** 2
+    assert shifts == [in_band if r == "in-band" else _far_shift(profile) for r in runs.split()]
+    if runs == "in-band":
+        assert np.array_equal(ms.n_eff, far.n_eff)
+        assert np.max(np.abs(ms.modes[0].values - far.modes[0].values)) < 1e-10
+    else:
+        _assert_same_modes(ms, far)

@@ -20,6 +20,8 @@ from defectlattice import (
     run_eme,
     site_probabilities,
 )
+from defectlattice import experiments
+from defectlattice.eme import ricker_profile, solve_modes
 from defectlattice.experiments import EmeConfig, ExperimentPreset, pair_splitting_beta
 
 
@@ -161,3 +163,68 @@ def test_a3_eme_contrast_ordering():
     cf_min = min(abs(c0_closed_form(run.delta_fit, float(t))) ** 2 for t in fine)
     assert run.delta_fit > np.sqrt(2.0)  # bound-state regime reproduced
     assert cf_min < eme_min
+
+
+# Solver pins at step 1.25, recorded with the far-shift array solve, the
+# five-factorization pair calibration and the full-grid isolated guide
+COARSE = EmeConfig(step=1.25)
+PINNED_ARRAY_N_EFF = {
+    "A1": (
+        1.4571387546067511, 1.4571386115276337, 1.4571383993957279,
+        1.4571380991965883, 1.457137838732014, 1.4571376602165642,
+        1.4571373896415722, 1.4571371261210269, 1.4571368792235182,
+        1.4571367265100759,
+    ),
+    "A2": (
+        1.457138762387011, 1.4571386408732447, 1.4571384533642897,
+        1.4571381786825506, 1.4571378970992752, 1.4571375943439981,
+        1.457137293373321, 1.4571370581291876, 1.457136848485845,
+        1.4571367183253052,
+    ),
+    "A3": (
+        1.4571404334012257, 1.457138740554747, 1.4571385586912686,
+        1.457138269683927, 1.4571379336400676, 1.4571375673140756,
+        1.4571372113267502, 1.457136931832491, 1.457136740711505,
+        1.4571348045375139,
+    ),
+}
+PINNED_BETA = {19.6: 0.2739779487065596, 27.1: 0.05280765707266888, 31.2: 0.021891820065467037}
+
+
+@pytest.mark.parametrize("gap", sorted(PINNED_BETA))
+def test_pair_calibration_pins(gap):
+    assert pair_splitting_beta(gap, COARSE) == pytest.approx(PINNED_BETA[gap], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3"])  # nx 324, 321 and 315 at this step
+def test_array_solve_pins(label, monkeypatch):
+    # the array n_eff that run_eme solves for, and the isolated mode it reads
+    # out with: solved on the central square, whose samples are the array
+    # grid's own, and zero-padded back
+    solved = {"solve_modes": [], "_solve_modes": []}
+
+    def spy(name, solve):
+        def recorded(*args, **kw):
+            solved[name].append(solve(*args, **kw))
+            return solved[name][-1]
+
+        return recorded
+
+    for name in solved:
+        monkeypatch.setattr(experiments, name, spy(name, getattr(experiments, name)))
+    exp = preset(label)
+    run_eme(exp, TimeGrid.uniform(4.0, 4), COARSE)
+    array, = (ms for ms in solved["_solve_modes"] if ms.n_requested == exp.n_sites)
+    np.testing.assert_allclose(array.n_eff, PINNED_ARRAY_N_EFF[label], rtol=0, atol=1e-12)
+
+    tgrid = array.grid
+    window, = (ms.grid for ms in solved["solve_modes"])
+    cut = (tgrid.nx - window.nx) // 2
+    assert window.nx in (tgrid.ny, tgrid.ny + 1) and window.nx % 2 == tgrid.nx % 2
+    assert np.array_equal(window.x, tgrid.x[cut:tgrid.nx - cut])
+    assert np.array_equal(window.y, tgrid.y)
+    n_eff, padded = experiments._isolated_mode(COARSE, tgrid)
+    full = solve_modes(ricker_profile(COARSE.ricker(), tgrid), COARSE.wavelength, 1)
+    assert n_eff == full.n_eff[0]
+    peak = np.max(full.modes[0].values)
+    assert np.max(np.abs(padded.values - full.modes[0].values)) < 1e-7 * peak

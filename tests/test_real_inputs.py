@@ -161,10 +161,11 @@ ARRAY_SITES = {
     "rms_error.b": (lambda v: rms_error(np.zeros(3), v), "b", "", np.zeros(3), (1,)),
 }
 
-# label -> (dtype of the bad array, its bad entry); the string array holds only strings
+# label -> (dtype of the bad array, its bad entry); the string array holds only strings,
+# and "ragged" is a nested list of the valid entries and one more row of another length
 BAD_ARRAYS = {"str": (str, None), "None": (object, None), "complex": (complex, 1j),
               "nan": (float, math.nan), "inf": (float, math.inf), "-inf": (float, -math.inf),
-              "-1.0": (float, -1.0)}
+              "-1.0": (float, -1.0), "ragged": (list, None)}
 
 ARRAY_CASES = [
     pytest.param(site, label, id=f"{site}-{label}")
@@ -178,6 +179,14 @@ ARRAY_CASES = [
 def test_real_array_input_rejected(site, label):
     call, name, bound, valid, at = ARRAY_SITES[site]
     dtype, entry = BAD_ARRAYS[label]
+    if dtype is list:
+        values = [valid.ravel().tolist(), [0.0]]
+        message = f"{name} must be an array of real numbers, got a ragged sequence"
+        if valid is MODE.values:  # the mode sites build a Field first, which refuses it
+            message = "field values must be an array, got a ragged sequence"
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+            call(values)
+        return
     values = valid.astype(dtype)
     if dtype is not str:
         values[at] = entry
