@@ -8,6 +8,13 @@ recurrence normalized with
 
 Scalar access and negative orders go through :func:`bessel_j`, using the
 parity identity J_{-l}(x) = (-1)^l J_l(x).
+
+Array form: :func:`bessel_j_array` also takes a 1-D array of x, with one
+l_max for every row or an array of one per row, and runs one downward
+recurrence over all rows at once.  Each row starts at its own order and
+rescales on its own, so row i equals the scalar call at (l_max_i, x_i)
+bit for bit, padded with zeros to the widest row.  A scalar x keeps the
+plain float loop, which is far cheaper for one argument.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidSpecError, _integer, _real
+from .errors import InvalidSpecError, _integer, _real_or_vector
 
 # Domain cap: desk-scale arguments only. Beyond this the start-order
 # heuristic and the normalization sum would need asymptotic handling.
@@ -25,6 +32,9 @@ X_MAX = 1.0e4
 # Rescaling guards against overflow during the downward sweep.
 _BIG = 1.0e250
 _BIG_INV = 1.0e-250
+
+#: an array call works in blocks of rows that hold at most this many entries
+_BLOCK = 2 ** 22
 
 
 def _start_order(l_max: int, x: float) -> int:
@@ -39,17 +49,39 @@ def _start_order(l_max: int, x: float) -> int:
     return m + (m & 1)
 
 
-def bessel_j_array(l_max: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_{l_max}(x) for integral l_max >= 0 and x >= 0, by normalized downward recurrence."""
+def _row_blocks(widths):
+    """Slices of consecutive rows, each of one row or of as many as keep rows * widest <= _BLOCK."""
+    start, widest = 0, 0
+    for i, w in enumerate(widths):
+        widest = max(widest, w)
+        if (i - start + 1) * widest > _BLOCK and i > start:
+            yield slice(start, i)
+            start, widest = i, w
+    if start < len(widths):
+        yield slice(start, len(widths))
+
+
+def _leading_terms(l_max: int, x: float) -> np.ndarray:
+    """(x/2)^l / l! for l = 0..l_max: exact to rounding for x < 1e-8, where the
+    recurrence's per-order growth 2l/x overflows past its rescaling."""
+    return np.cumprod(np.concatenate(([1.0], 0.5 * x / np.arange(1, l_max + 1))))
+
+
+def bessel_j_array(l_max, x):
+    """J_0(x) .. J_{l_max}(x) for integral l_max >= 0 and x >= 0, by normalized downward recurrence.
+
+    x may also be a 1-D array, with l_max one integer or an array of one per
+    x; the result is then a (len(x), max l_max + 1) array whose row i equals
+    bessel_j_array(l_max_i, x_i) bit for bit, zero past l_max_i.
+    """
+    x = _real_or_vector(x, "x", ">= 0")
+    if not isinstance(x, float):
+        return _bessel_rows(_row_orders(l_max, x.size), x)
     l_max = _integer(l_max, "l_max", 0)
-    x = _real(x, "x", ">= 0")
     if x >= X_MAX:
         raise InvalidSpecError(f"argument {x} outside supported domain |x| < {X_MAX:g}")
-
     if x < 1e-8:
-        # the leading series term (x/2)^l / l! is exact to rounding here, while
-        # the recurrence's per-order growth 2l/x overflows past its rescaling
-        return np.cumprod(np.concatenate(([1.0], 0.5 * x / np.arange(1, l_max + 1))))
+        return _leading_terms(l_max, x)
 
     m = _start_order(l_max, x)
     out = np.zeros(l_max + 1)
@@ -74,6 +106,72 @@ def bessel_j_array(l_max: int, x: float) -> np.ndarray:
     return out
 
 
+def _row_orders(l_max, rows: int) -> np.ndarray:
+    """l_max as one integer >= 0 per row (one for all rows, or an array of one per row)."""
+    try:
+        orders = np.asarray(l_max)
+    except ValueError:  # a ragged nested sequence: its entries fail one by one below
+        orders = np.array(l_max, dtype=object)
+    if orders.ndim == 0:
+        return np.full(rows, _integer(l_max, "l_max", 0))
+    if orders.shape != (rows,):
+        raise InvalidSpecError(
+            f"l_max must be an integer or one per x ({rows}), got shape {orders.shape}")
+    if orders.dtype.kind not in "iu" or orders.size and orders.min() < 0:
+        for i, order in enumerate(orders):  # raises for the first entry that fails
+            _integer(order, f"l_max[{i}]", 0)
+    return orders.astype(int)
+
+
+def _bessel_rows(l_max: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The array form of bessel_j_array: the scalar loop run on every row at once."""
+    far = np.flatnonzero(x >= X_MAX)
+    if far.size:
+        raise InvalidSpecError(
+            f"argument {float(x[far[0]])} outside supported domain |x| < {X_MAX:g}")
+    width = int(l_max.max(initial=0)) + 1
+    out = np.zeros((x.size, width))
+    tiny = x < 1e-8
+    for i in np.flatnonzero(tiny):
+        out[i, : l_max[i] + 1] = _leading_terms(int(l_max[i]), float(x[i]))
+    rows = np.flatnonzero(~tiny)
+    if not rows.size:
+        return out
+
+    # _start_order per row; rows sorted by it, so the started ones are a prefix
+    base = np.maximum(l_max[rows], np.ceil(x[rows]).astype(int))
+    m = base + 18 + (2.5 * np.sqrt(base + 1)).astype(int)
+    m += m & 1
+    order = np.argsort(-m, kind="stable")
+    m, rows = m[order], rows[order]
+    two_over_x = 2.0 / x[rows]
+    trial = np.zeros((width, rows.size))  # trial[l] holds order l of every row
+    jp = np.zeros(rows.size)
+    jc = np.ones(rows.size)
+    norm = np.zeros(rows.size)
+    k = 0
+    for l in range(int(m[0]), 0, -1):
+        while k < rows.size and m[k] >= l:
+            k += 1
+        jm = l * two_over_x[:k] * jc[:k] - jp[:k]
+        jp[:k] = jc[:k]
+        jc[:k] = jm
+        if l - 1 < width:
+            trial[l - 1, :k] = jm
+        if (l - 1) % 2 == 0:
+            norm[:k] += jm if l - 1 == 0 else 2.0 * jm
+        big = np.flatnonzero(np.abs(jm) > _BIG)
+        if big.size:
+            jc[big] *= _BIG_INV
+            jp[big] *= _BIG_INV
+            norm[big] *= _BIG_INV
+            trial[:, big] *= _BIG_INV
+    trial /= norm
+    trial[np.arange(width)[:, None] > l_max[rows]] = 0.0
+    out[rows] = trial.T
+    return out
+
+
 def _tail_order(y: float, bound: float, limit: int) -> int | None:
     """Smallest order K in (y, limit] with y^K / K! < bound, or None if none is.
 
@@ -82,7 +180,12 @@ def _tail_order(y: float, bound: float, limit: int) -> int | None:
     For bound < 1/2 the returned K also exceeds 2y, so past it each term is
     at most half the one before and their sum stays below the bound too.
     The search stops at e^2 y - ln(bound), where ln(y^K / K!) <= -K.
+
+    For a 1-D array y, the order for each entry (-1 where the scalar call
+    returns None), each equal to the scalar call's.
     """
+    if np.ndim(y):
+        return _tail_orders(np.asarray(y, dtype=float), bound, limit)
     if y == 0.0:
         return 0
     if not y <= limit:  # also for inf and nan
@@ -92,6 +195,22 @@ def _tail_order(y: float, bound: float, limit: int) -> int | None:
     log_terms = np.cumsum(math.log(y) - np.log(orders))
     past = orders[(orders > y) & (log_terms < math.log(bound))]
     return int(past[0]) if past.size else None
+
+
+def _tail_orders(y: np.ndarray, bound: float, limit: int) -> np.ndarray:
+    """The array form of _tail_order: its search over a block of rows at once."""
+    caps = np.where(y == 0.0, 0, -1)
+    rows = np.flatnonzero((y > 0.0) & (y <= limit))
+    hi = np.minimum(limit, (math.e ** 2 * y[rows] - math.log(bound)).astype(int) + 1)
+    log_y = np.array([math.log(v) for v in y[rows].tolist()])
+    for block in _row_blocks(hi):
+        orders = np.arange(1, hi[block].max(initial=0) + 1)
+        log_terms = np.cumsum(log_y[block, None] - np.log(orders), axis=1)
+        past = ((orders > y[rows[block], None]) & (log_terms < math.log(bound))
+                & (orders <= hi[block, None]))
+        first = past.argmax(axis=1)
+        caps[rows[block]] = np.where(past[np.arange(first.size), first], orders[first], -1)
+    return caps
 
 
 def bessel_j(order: int, x: float) -> float:

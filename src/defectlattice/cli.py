@@ -97,7 +97,7 @@ def _write_table(args, columns: dict, series=(), y_label="", title="", log_y=Fal
 
 def _cmd_closed_form(args):
     grid = TimeGrid.uniform(args.tau_max, args.steps)
-    c0 = np.array([c0_closed_form(args.delta, t, mode=args.mode) for t in grid.tau])
+    c0 = c0_closed_form(args.delta, grid.tau, mode=args.mode)
     prob = np.abs(c0) ** 2
     columns = {
         "tau": grid.tau,

@@ -97,7 +97,9 @@ class Field:
             )
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_area))
+        # a square past the float range makes the norm inf, which normalized() refuses
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_area))
 
     def normalized(self) -> "Field":
         """The field over its norm; InvalidSpecError unless the norm is finite and > 0."""

@@ -102,3 +102,15 @@ def _real_array(values, name: str, bound: str = "") -> np.ndarray:
         at = np.unravel_index(np.argmin(ok), ok.shape)
         _real(arr[at], f"{name}[{', '.join(map(str, at))}]", bound)
     return arr
+
+
+def _real_or_vector(value, name: str, bound: str = ""):
+    """A float through _real, or for a list, tuple or array of at least one dimension a
+    1-D float64 array through _real_array (InvalidSpecError for any other shape)."""
+    if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim):
+        return _real(value, name, bound)  # which refuses a 0-d array, as every scalar site does
+    arr = _real_array(value, name, bound)
+    if arr.ndim != 1:
+        raise InvalidSpecError(
+            f"{name} must be a real number or a 1-D array, got shape {arr.shape}")
+    return arr

@@ -72,6 +72,13 @@ def test_normalized_rejects_a_nan():
         Field(TransverseGrid(8, 8, 1.0, 1.0, 0.0, 0.0), values).normalized()
 
 
+def test_normalized_rejects_a_square_past_the_float_range():
+    # the refusal is the error, not numpy's overflow warning from the square
+    values = np.full((8, 8), 1e200)
+    with pytest.raises(InvalidSpecError, match="^cannot normalize a field of norm inf"):
+        Field(TransverseGrid(8, 8, 1.0, 1.0, 0.0, 0.0), values).normalized()
+
+
 def test_file_round_trip_bit_exact(tmp_path, rng):
     g = TransverseGrid(12, 9, 0.37, 0.41, -2.035, -1.64)
     vals = rng.normal(size=(9, 12)) * np.pi

@@ -6,7 +6,9 @@ and a 0-d one) with InvalidSpecError naming the parameter, and so does each
 number outside the site's range.  Each array site rejects a string array and
 an array with a None or complex entry naming the parameter, and an array with
 a NaN, +-inf or out-of-range entry naming the parameter, the entry's index
-and its value.
+and its value.  The tau of the c0 evaluators and the x of bessel_j_array
+take a scalar or a 1-D array: they reject a 2-D array in place of the
+1-element one, and check a 1-D array's entries as an array site does.
 """
 
 import math
@@ -121,8 +123,14 @@ SITES = {
 BAD = {"str": "0.5", "None": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
        "array1": np.array([0.5]), "array0": np.array(0.5)}
 
+# sites that also take a 1-D array (ARRAY_SITES checks its entries): there a
+# 1-element array is valid, so the array1 case passes a 1-element 2-D one
+VECTOR_SITES = {"bessel_j_array.x", "c0_critical.tau", "s_less.tau", "s_greater.tau",
+                "survival_series.tau", "c0_closed_form.tau", "c0_contour.tau"}
+
 CASES = [
-    pytest.param(site, value, id=f"{site}-{label}")
+    pytest.param(site, np.array([[0.5]]) if site in VECTOR_SITES and label == "array1" else value,
+                 id=f"{site}-{label}")
     for site, (_, _, out) in SITES.items()
     for label, value in [*BAD.items(), *((repr(v), v) for v in out)]
 ]
@@ -135,8 +143,11 @@ def test_real_input_rejected(site, value):
     # 1e160 and 1.5 fail a check of the site's own after _real, in a message of its own
     own = isinstance(value, float) and value in (1e160, 1.5)
     must = ".+" if own else re.escape(f"be finite{bound and ' and ' + bound}")
+    got = str(value)
+    if site in VECTOR_SITES and np.ndim(value) > 1:
+        must, got = re.escape("be a real number or a 1-D array"), f"shape {value.shape}"
     with pytest.raises(InvalidSpecError,
-                       match=f"^{re.escape(name)} must {must}, got {re.escape(str(value))}$"):
+                       match=f"^{re.escape(name)} must {must}, got {re.escape(got)}$"):
         call(value)
 
 
@@ -159,6 +170,10 @@ ARRAY_SITES = {
                                    "prob0", "", np.array([1.0, 0.5, 0.25]), (1,)),
     "rms_error.a": (lambda v: rms_error(v, np.zeros(3)), "a", "", np.zeros(3), (1,)),
     "rms_error.b": (lambda v: rms_error(np.zeros(3), v), "b", "", np.zeros(3), (1,)),
+    **{
+        f"{site}[]": (SITES[site][0], SITES[site][1], ">= 0", np.array([0.0, 1.0, 2.0, 3.0]), (2,))
+        for site in sorted(VECTOR_SITES)
+    },
 }
 
 # label -> (dtype of the bad array, its bad entry); the string array holds only strings,
