@@ -76,7 +76,7 @@ def bessel_j_array(l_max, x):
     """
     x = _real_or_vector(x, "x", ">= 0")
     if not isinstance(x, float):
-        return _bessel_rows(_row_orders(l_max, x.size), x)
+        return _bessel_rows(*_row_orders(l_max, x.size), x)
     l_max = _integer(l_max, "l_max", 0)
     if x >= X_MAX:
         raise InvalidSpecError(f"argument {x} outside supported domain |x| < {X_MAX:g}")
@@ -106,30 +106,32 @@ def bessel_j_array(l_max, x):
     return out
 
 
-def _row_orders(l_max, rows: int) -> np.ndarray:
-    """l_max as one integer >= 0 per row (one for all rows, or an array of one per row)."""
+def _row_orders(l_max, rows: int) -> tuple[np.ndarray, int]:
+    """(l_max as one integer >= 0 per row, the result's width) from one l_max for all
+    rows (l_max + 1 columns, also for no rows) or an array of one per row."""
     try:
         orders = np.asarray(l_max)
     except ValueError:  # a ragged nested sequence: its entries fail one by one below
         orders = np.array(l_max, dtype=object)
     if orders.ndim == 0:
-        return np.full(rows, _integer(l_max, "l_max", 0))
+        l_max = _integer(l_max, "l_max", 0)
+        return np.full(rows, l_max), l_max + 1
     if orders.shape != (rows,):
         raise InvalidSpecError(
             f"l_max must be an integer or one per x ({rows}), got shape {orders.shape}")
     if orders.dtype.kind not in "iu" or orders.size and orders.min() < 0:
         for i, order in enumerate(orders):  # raises for the first entry that fails
             _integer(order, f"l_max[{i}]", 0)
-    return orders.astype(int)
+    orders = orders.astype(int)
+    return orders, int(orders.max(initial=0)) + 1
 
 
-def _bessel_rows(l_max: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _bessel_rows(l_max: np.ndarray, width: int, x: np.ndarray) -> np.ndarray:
     """The array form of bessel_j_array: the scalar loop run on every row at once."""
     far = np.flatnonzero(x >= X_MAX)
     if far.size:
         raise InvalidSpecError(
             f"argument {float(x[far[0]])} outside supported domain |x| < {X_MAX:g}")
-    width = int(l_max.max(initial=0)) + 1
     out = np.zeros((x.size, width))
     tiny = x < 1e-8
     for i in np.flatnonzero(tiny):

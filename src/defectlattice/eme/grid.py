@@ -159,8 +159,12 @@ def read_field(path: str) -> Field:
         m = _HEADER_RE.match(header)
         if not m:
             raise InvalidSpecError(f"{path}: malformed field header {header!r}")
-        try:
-            grid = TransverseGrid(*map(_number, m.groups()))
-            return Field(grid, np.loadtxt(fh, ndmin=2))
-        except InvalidSpecError as exc:
-            raise InvalidSpecError(f"{path}: {exc}") from None
+        body = fh.readlines()
+    try:
+        grid = TransverseGrid(*map(_number, m.groups()))
+        # loadtxt warns on a body without data (blank or comment lines only)
+        if not any(line.partition("#")[0].split() for line in body):
+            raise InvalidSpecError("no field values after the header")
+        return Field(grid, np.loadtxt(body, ndmin=2))
+    except ValueError as exc:  # a bad header field, token or row length (InvalidSpecError too)
+        raise InvalidSpecError(f"{path}: {exc}") from None

@@ -26,12 +26,13 @@ tau arrays
 :func:`survival_series`, :func:`c0_closed_form` and :func:`c0_contour` also
 take a 1-D array of tau and return an array (complex for the two c0
 evaluators).  Entry i equals the call at tau_i bit for bit: each row keeps
-its own series cap, Bessel start order and contour doubling.  A sweep runs
-one Bessel recurrence per block of rows, and the contour's tau-independent
-node factors are shared between rows and between calls.  Rows are taken in
-blocks of at most 2^22 (row, order) or (row, node) entries.  The tau are
-checked first, naming the index of a bad entry; after that a failing entry
-raises exactly what the call at it raises, the first one first.
+its own series cap and Bessel start order.  A series sweep runs one Bessel
+recurrence per block of rows, in blocks of at most 2^22 (row, order)
+entries.  The contour's array form is the loop of its calls at each tau;
+those are fast because its tau-independent node factors are cached between
+calls.  The tau are checked first, naming the index of a bad entry; after
+that a failing entry raises exactly what the call at it raises, the first
+one first.
 
 Domains: the series (and :func:`c0_closed_form`)
 return to within SERIES_ACCURACY = 1e-8 and raise SeriesDivergenceError
@@ -76,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _BLOCK, _row_blocks, _tail_order, bessel_j, bessel_j_array
+from .bessel import _row_blocks, _tail_order, bessel_j, bessel_j_array
 from .errors import (
     InvalidSpecError,
     QuadratureError,
@@ -390,9 +391,9 @@ def c0_contour(delta: float, tau, pole_convention: str = "reconciled"):
     new points, and the tau-independent factors at them come from a bounded
     cache up to 2^12 points.
 
-    tau may be a 1-D array: the result is then an array whose entry i equals
-    c0_contour(delta, tau_i) bit for bit, each converging on its own, and a
-    failing entry raises the error of the float call, the first one first.
+    tau may be a 1-D array: the result is then the array of the float calls
+    at each tau_i, made in order, and a failing entry raises the error of
+    the float call, the first one first.
 
     Domain: reconciled values are within ~1e-10 of the exact amplitude for
     every delta > 0 and tau >= 0 (printed values are wrong for delta > 1
@@ -408,36 +409,25 @@ def c0_contour(delta: float, tau, pole_convention: str = "reconciled"):
     q = 1.0 - delta * delta
     if pole_convention == "printed":
         q = abs(q)
-    gamma = math.sqrt(abs(q))  # modulus of both poles
     if isinstance(tau, float):
-        r = _radius(gamma, tau)
-        total = _outer_residues(delta, q, tau) if gamma > r else 0j
-        mean, diff = _circle_mean(tau, r, q)
-        if not diff < CONTOUR_ACCURACY:
-            raise _unconverged(delta, tau, diff)
-        return complex(total + mean)
+        return _contour_at(delta, q, tau)
+    return np.array([_contour_at(delta, q, t) for t in tau.tolist()], dtype=complex)
 
-    radii = np.array([_radius(gamma, t) for t in tau.tolist()])
-    totals = np.zeros(tau.size, dtype=complex)
-    stop, failed = tau.size, None  # the first row whose residue overflows
-    for i in np.flatnonzero(gamma > radii):
-        try:
-            totals[i] = _outer_residues(delta, q, float(tau[i]))
-        except QuadratureError as exc:
-            stop, failed = i, exc
-            break
-    means = np.empty(tau.size, dtype=complex)
-    diffs = np.zeros(tau.size)
-    for r in dict.fromkeys(radii[:stop].tolist()):  # rows on one circle share its nodes
-        rows = np.flatnonzero(radii[:stop] == r)
-        means[rows], diffs[rows] = _circle_means(tau[rows], r, q)
-    unconverged = np.flatnonzero(~(diffs[:stop] < CONTOUR_ACCURACY))  # nan included
-    if unconverged.size:
-        i = unconverged[0]
-        raise _unconverged(delta, float(tau[i]), float(diffs[i]))
-    if failed is not None:
-        raise failed
-    return totals + means
+
+def _contour_at(delta: float, q: float, tau: float) -> complex:
+    """c0_contour at one float tau.  An array runs this per entry rather than
+    c0_contour itself, so a wrapper of c0_contour sees one call per array."""
+    gamma = math.sqrt(abs(q))  # modulus of both poles
+    r = _radius(gamma, tau)
+    total = _outer_residues(delta, q, tau) if gamma > r else 0j
+    mean, diff = _circle_mean(tau, r, q)
+    if not diff < CONTOUR_ACCURACY:
+        raise QuadratureError(
+            f"contour quadrature did not converge with {_MAX_NODES} points "
+            f"(delta={delta}, tau={tau})",
+            achieved=diff,
+        )
+    return complex(total + mean)
 
 
 def _radius(gamma: float, tau: float) -> float:
@@ -464,14 +454,6 @@ def _outer_residues(delta: float, q: float, tau: float) -> complex:
     return total
 
 
-def _unconverged(delta: float, tau: float, diff: float) -> QuadratureError:
-    return QuadratureError(
-        f"contour quadrature did not converge with {_MAX_NODES} points "
-        f"(delta={delta}, tau={tau})",
-        achieved=diff,
-    )
-
-
 #: node factors are cached for the point counts up to this one
 _CACHED_NODES = 2 ** 12
 
@@ -490,10 +472,6 @@ def _node_factor(r: float, q: float, n: int):
 _cached_node_factor = functools.lru_cache(maxsize=64)(_node_factor)
 
 
-def _nodes(r: float, q: float, n: int):
-    return (_cached_node_factor if n <= _CACHED_NODES else _node_factor)(r, q, n)
-
-
 def _circle_mean(tau: float, r: float, q: float):
     """(mean, last change) of f(z) z over the nodes on |z| = r.
 
@@ -504,7 +482,7 @@ def _circle_mean(tau: float, r: float, q: float):
     phase = 1j * tau
     total, prev, n = 0j, None, 64
     while n <= _MAX_NODES:
-        a, b = _nodes(r, q, n)
+        a, b = (_cached_node_factor if n <= _CACHED_NODES else _node_factor)(r, q, n)
         terms = np.exp(phase * a)
         terms *= b
         total += terms.sum()
@@ -516,41 +494,6 @@ def _circle_mean(tau: float, r: float, q: float):
         prev = mean
         n *= 2
     return mean, diff
-
-
-def _circle_means(tau: np.ndarray, r: float, q: float):
-    """_circle_mean for each entry of tau, in (rows, nodes) blocks: entry i equals
-    the call at tau_i bit for bit (numpy's row sums match its 1-D sums)."""
-    means = np.empty(tau.size, dtype=complex)
-    diffs = np.empty(tau.size)
-    live = np.arange(tau.size)  # rows still doubling, with their phase i tau and node sum
-    phase = (1j * tau)[:, None]
-    sums = np.zeros(tau.size, dtype=complex)
-    prev = diff = None
-    n = 64
-    while n <= _MAX_NODES:
-        a, b = _nodes(r, q, n)
-        step = max(1, _BLOCK // a.size)
-        for lo in range(0, live.size, step):
-            terms = np.exp(phase[lo : lo + step] * a)
-            terms *= b
-            sums[lo : lo + step] += terms.sum(axis=1)
-        mean = sums / n
-        if prev is not None:
-            diff = np.abs(mean - prev)
-            done = diff < CONTOUR_ACCURACY
-            if done.any():
-                means[live[done]] = mean[done]
-                diffs[live[done]] = diff[done]
-                keep = ~done
-                live, phase, sums, mean, diff = (
-                    live[keep], phase[keep], sums[keep], mean[keep], diff[keep])
-                if not live.size:
-                    break
-        prev = mean
-        n *= 2
-    diffs[live] = diff
-    return means, diffs
 
 
 #: bound states require delta^2 - 2 > this margin (delta > sqrt(2);

@@ -118,3 +118,25 @@ def test_file_header_fields_are_checked(tmp_path, field, text, message):
     with pytest.raises(InvalidSpecError) as exc:
         read_field(str(path))
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: [rows[0].replace("0", "abc", 1), *rows[1:]],
+         "could not convert string 'abc' to float64 at row 0, column 1."),
+        (lambda rows: [*rows[:-1], "0 0"],
+         "the number of columns changed from 8 to 2 at row 8; use `usecols` to select a "
+         "subset and avoid this error"),
+        (lambda rows: [], "no field values after the header"),
+    ],
+    ids=["token", "ragged", "empty"],
+)
+def test_file_body_errors_name_the_file(tmp_path, edit, message):
+    path = tmp_path / "field.txt"
+    write_field(str(path), Field(TransverseGrid(8, 8, 0.5, 0.5, 0.0, 0.0), np.zeros((8, 8))))
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    with pytest.raises(InvalidSpecError) as exc:  # and, as tier-1 runs, with no warning
+        read_field(str(path))
+    assert str(exc.value) == f"{path}: {message}"

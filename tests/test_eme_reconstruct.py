@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 import defectlattice
-from defectlattice import InvalidSpecError, SigmaExtractionError
+from defectlattice import (
+    DegenerateInputError,
+    FitFailureError,
+    InvalidSpecError,
+    SigmaExtractionError,
+)
 from defectlattice.eme import (
     Field,
     RickerParams,
@@ -118,6 +123,73 @@ def test_fit_residual_pointwise(synthetic):
     refit = solve_modes(ricker_profile(params, GRID), LAM, 1).modes[0]
     resid = np.max(np.abs(refit.values - mode.values)) / mode.values.max()
     assert resid < 2.4e-4  # quoted reconstruction-quality bound
+
+
+# every raise of the inversion and the fit, each on a small hand-made image
+SMALL = TransverseGrid.centered(24.0, 24.0, 1.0, 1.0)
+X, Y = np.meshgrid(SMALL.x, SMALL.y)
+
+
+def _spot(width2):
+    return np.exp(-(X ** 2 + Y ** 2) / width2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda f: reconstruct_index(f, N0, LAM), lambda f: implied_n_eff(f, LAM, N0)],
+    ids=["reconstruct_index", "implied_n_eff"],
+)
+def test_zero_mode_is_degenerate(call):
+    with pytest.raises(DegenerateInputError, match="^mode is identically zero$"):
+        call(Field(SMALL, np.zeros_like(X)))
+
+
+def test_flat_mode_has_no_dim_ring():
+    with pytest.raises(SigmaExtractionError, match="^no dim ring available to anchor n_eff$"):
+        implied_n_eff(Field(SMALL, np.ones_like(X)), LAM, N0)
+
+
+def test_concave_dim_ring_anchors_no_n_eff():
+    # a bright core on a concave dome that holds the dim ring: there
+    # -lap(psi)/psi / k0^2 = n0^2 - n_eff^2 is positive, and above this n0^2
+    psi = 3.0 * _spot(2.0) + 0.02 * (1.0 - (X ** 2 + Y ** 2) / 18.0 ** 2)
+    with pytest.raises(FitFailureError, match=r"^anchored n_eff\^2 came out non-positive$"):
+        implied_n_eff(Field(SMALL, psi), LAM, 1e-3)
+
+
+def test_cut_rising_on_both_sides_has_no_minimum():
+    from defectlattice.eme.reconstruct import _minima_distance
+
+    x = np.arange(-5.0, 6.0)
+    with pytest.raises(SigmaExtractionError,
+                       match="^no interior index minima found along axis cut$"):
+        _minima_distance(x, x ** 2, 5)
+
+
+def test_fit_refuses_a_peak_on_the_boundary():
+    # brightest in the last column, where the Laplacian and so the mask are undefined
+    psi = np.exp((X - SMALL.x[-1]) / 2.0)
+    with pytest.raises(SigmaExtractionError, match="^mode peak is masked in the reconstruction$"):
+        fit_ricker(Field(SMALL, psi), LAM, N0)
+
+
+def test_fit_refuses_a_dip_at_the_peak():
+    # the brightest 3x3 box sits on a pixel darker than its neighbours: a
+    # positive Laplacian there reconstructs an index below n0
+    psi = _spot(18.0)
+    psi[SMALL.ny // 2, SMALL.nx // 2] *= 0.5
+    with pytest.raises(FitFailureError,
+                       match=r"^reconstructed peak contrast -\d\.\d{3}e-\d\d is not positive$"):
+        fit_ricker(Field(SMALL, psi), LAM, N0)
+
+
+def test_fit_of_four_guides_stays_below_half_fidelity():
+    # one fitted guide holds about a quarter of the power of four equal spots
+    grid = TransverseGrid.centered(32.0, 32.0, 1.0, 1.0)
+    x, y = np.meshgrid(grid.x, grid.y)
+    psi = sum(np.exp(-((x - a) ** 2 + (y - b) ** 2) / 8.0) for a in (-7, 7) for b in (-7, 7))
+    with pytest.raises(FitFailureError, match=r"^fit fidelity 0\.\d{3} below 0\.5$"):
+        fit_ricker(Field(grid, psi), LAM, N0)
 
 
 _LAZY_IMPORTS_SCRIPT = """

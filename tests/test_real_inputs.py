@@ -69,13 +69,18 @@ def _with(call, defaults, name):
     return lambda v: call(**{**defaults, name: v})
 
 
+# delta out of range: 0 fails _real's bound; 1e160 and 1e154, whose 2 delta^2
+# overflows, fail the survival module's own check after _real
+DELTA_OUT = (0.0, 1e160, 1e154)
+
 # site id -> (call with the bad value, parameter name, numbers out of range)
 SITES = {
     "bessel_j_array.x": (lambda v: bessel_j_array(3, v), "x", (-1.0,)),
-    "regime_params.delta": (regime_params, "delta", (0.0, 1e160)),
-    "survival_series.delta": (lambda v: survival_series(v, 1.0), "delta", (0.0,)),
-    "c0_contour.delta": (lambda v: c0_contour(v, 1.0), "delta", (0.0,)),
-    "bound_state_energies.delta": (bound_state_energies, "delta", (0.0,)),
+    "regime_params.delta": (regime_params, "delta", DELTA_OUT),
+    "survival_series.delta": (lambda v: survival_series(v, 1.0), "delta", DELTA_OUT),
+    "c0_closed_form.delta": (lambda v: c0_closed_form(v, 1.0), "delta", DELTA_OUT),
+    "c0_contour.delta": (lambda v: c0_contour(v, 1.0), "delta", DELTA_OUT),
+    "bound_state_energies.delta": (bound_state_energies, "delta", DELTA_OUT),
     "c0_critical.tau": (c0_critical, "tau", (-1.0,)),
     "s_less.tau": (lambda v: s_less(v, 0.5), "tau", (-1.0,)),
     "s_greater.tau": (lambda v: s_greater(v, 2.0), "tau", (-1.0,)),
@@ -140,8 +145,8 @@ CASES = [
 def test_real_input_rejected(site, value):
     call, name, out = SITES[site]
     bound = "> 0" if 0.0 in out else ">= 0" if out else ""
-    # 1e160 and 1.5 fail a check of the site's own after _real, in a message of its own
-    own = isinstance(value, float) and value in (1e160, 1.5)
+    # 1e160, 1e154 and 1.5 fail a check of the site's own after _real, in a message of its own
+    own = isinstance(value, float) and value in (1e160, 1e154, 1.5)
     must = ".+" if own else re.escape(f"be finite{bound and ' and ' + bound}")
     got = str(value)
     if site in VECTOR_SITES and np.ndim(value) > 1:

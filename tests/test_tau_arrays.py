@@ -150,7 +150,6 @@ def test_rows_in_small_blocks_keep_their_bits(monkeypatch, block):
     want = {name: fn(taus) for name, fn in _evaluators(0.474, "reconciled").items()}
     want["contour_near_1"] = c0_contour(0.1, taus)
     monkeypatch.setattr(bessel, "_BLOCK", block)
-    monkeypatch.setattr(survival, "_BLOCK", block)
     got = {name: fn(taus) for name, fn in _evaluators(0.474, "reconciled").items()}
     got["contour_near_1"] = c0_contour(0.1, taus)
     for name in want:
@@ -183,3 +182,5 @@ def test_contour_cache_is_bounded_and_holds_no_large_level():
 def test_empty_tau_array():
     for fn in _evaluators(0.474, "reconciled").values():
         assert fn(np.array([])).shape == (0,)
+    assert c0_contour(0.474, np.array([])).dtype == complex
+    assert bessel_j_array(3, np.array([])).shape == (0, 4)  # one l_max sets the width
