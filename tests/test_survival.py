@@ -263,14 +263,28 @@ def test_contour_stops_doubling_at_its_node_cap():
     assert time.perf_counter() - start < 3.0
 
 
-# every evaluator shares one delta check: delta <= 0, nan, inf or with 2 delta^2
-# past the float range raise InvalidSpecError before any series or quadrature
-# runs (the tau check is covered by test_real_inputs)
+# every evaluator shares one delta check and one tau check: nan, inf and
+# negative tau, and delta <= 0, nan, inf or with 2 delta^2 past the float
+# range raise InvalidSpecError before any series or quadrature runs
 _EVALUATORS = {
     "closed_form": c0_closed_form,
     "series": survival_series,
     "contour": c0_contour,
 }
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+def test_invalid_tau_raises(name, tau):
+    with pytest.raises(InvalidSpecError, match="tau"):
+        _EVALUATORS[name](0.5, tau)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+def test_invalid_tau_raises_in_branches(tau):
+    for call in (lambda: c0_critical(tau), lambda: s_less(tau, 0.5), lambda: s_greater(tau, 2.0)):
+        with pytest.raises(InvalidSpecError, match="tau"):
+            call()
 
 
 @pytest.mark.parametrize("delta", [0.0, math.nan, math.inf, 1e160, 1e154])
