@@ -153,7 +153,8 @@ def _number(text: str):
 
 
 def read_field(path: str) -> Field:
-    """Field from a file in the format above; InvalidSpecError names the path."""
+    """Field from a file in the format above; InvalidSpecError names the path, and
+    the file's line for a value that is not a number or a row of another length."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         m = _HEADER_RE.match(header)
@@ -162,9 +163,20 @@ def read_field(path: str) -> Field:
         body = fh.readlines()
     try:
         grid = TransverseGrid(*map(_number, m.groups()))
-        # loadtxt warns on a body without data (blank or comment lines only)
-        if not any(line.partition("#")[0].split() for line in body):
+        rows = []
+        for line_no, line in enumerate(body, start=2):
+            tokens = line.partition("#")[0].split()
+            if not tokens:  # a blank or comment line
+                continue
+            if rows and len(tokens) != len(rows[0]):
+                raise InvalidSpecError(
+                    f"line {line_no} has {len(tokens)} values, the first row has {len(rows[0])}")
+            try:
+                rows.append([float(tok) for tok in tokens])
+            except ValueError as exc:
+                raise InvalidSpecError(f"line {line_no}: {exc}") from None
+        if not rows:
             raise InvalidSpecError("no field values after the header")
-        return Field(grid, np.loadtxt(body, ndmin=2))
-    except ValueError as exc:  # a bad header field, token or row length (InvalidSpecError too)
+        return Field(grid, np.array(rows))
+    except ValueError as exc:  # a bad header field or body (InvalidSpecError too)
         raise InvalidSpecError(f"{path}: {exc}") from None

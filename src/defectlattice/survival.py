@@ -7,7 +7,8 @@ tau = beta*z with beta = 1:
   Bessel correction series), in both a ``printed`` and a ``reconciled``
   variant -- see below;
 * the contour-integral representation, evaluated as a trapezoid
-  quadrature on the unit circle plus the residues of the poles outside it;
+  quadrature on the unit circle plus the residues of the poles outside it,
+  which for delta > 1 sum to the closed form's leading A cos(Omega tau);
 * :func:`survival_series`, a single resummed Bessel series
 
       c0(tau) = J_0(2 tau) + sum_{k>=1} (c^k + c^{k-1}) J_{2k}(2 tau),
@@ -40,8 +41,7 @@ where cancellation would lose more -- at tau <= 4 the closed form for
 delta in about [0.970, 1.028], survival_series for delta >~ 4.9, both
 wider at larger tau.  :func:`c0_contour` returns to ~1e-10 for every
 delta > 0 and tau >= 0, delta = 1 included; it raises QuadratureError where
-a pole residue overflows (the printed poles at large delta and tau) or the
-quadrature does not converge.
+the quadrature does not converge.
 
 printed vs reconciled
 ---------------------
@@ -63,21 +63,22 @@ repairs:
   the real points +-gamma for delta > 1 (the literal +-i*gamma reading
   produces runaway cosh terms there).
 
-Both variants are kept: ``reconciled`` (default) matches the propagation
-oracle to ~1e-10; ``printed`` reproduces the literal transcription and
-its documented failures.
+The closed form keeps both variants: ``reconciled`` (default) matches the
+propagation oracle to ~1e-10; ``printed`` reproduces the literal
+transcription and its documented failures.  The contour has the
+reconciled poles only.
 """
 
 from __future__ import annotations
 
-import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _row_blocks, _tail_order, bessel_j, bessel_j_array
+from .bessel import X_MAX, _row_blocks, _tail_order, bessel_j, bessel_j_array
 from .errors import (
     InvalidSpecError,
     QuadratureError,
@@ -121,7 +122,7 @@ class RegimeParams:
 
 
 def _check_delta(delta: float) -> float:
-    """delta > 0 with 2 delta^2 finite (a contour pole's residue squares it)."""
+    """delta > 0 with 2 delta^2 finite (the evaluators square it)."""
     delta = _real(delta, "delta", "> 0")
     if not math.isfinite(2.0 * delta * delta):
         raise InvalidSpecError(f"delta must have a finite 2*delta^2, got {delta}")
@@ -152,6 +153,9 @@ def c0_critical(tau):
         if tau == 0.0:
             return 1.0
         return bessel_j(1, 2.0 * tau) / tau
+    far = np.flatnonzero(tau >= 0.5 * X_MAX)
+    if far.size:  # 2 tau past the Bessel domain: the float call raises
+        c0_critical(float(tau[far[0]]))
     out = np.ones(tau.size)
     pos = np.flatnonzero(tau > 0.0)
     for block in _row_blocks(np.full(pos.size, 2)):
@@ -168,11 +172,12 @@ def _check_variant(variant: str):
 def _bessel_sum(name: str, tau, rho: float, weights):
     """sum_l w_l J_l(2 tau) for l = 0..L, with w = weights(L) growing like rho^l.
 
-    eps * sum_l |w_l J_l| bounds the sum's rounding error (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 4).  A bound above
-    SERIES_ACCURACY, or a weight or term that is not finite, raises
-    SeriesDivergenceError instead of returning lost digits.  For a 1-D tau
-    the sums go through _bessel_sum_rows; entry i equals the float call at tau_i.
+    Each w_l depends on l alone, not on L.  eps * sum_l |w_l J_l| bounds the
+    sum's rounding error (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4).  A bound above SERIES_ACCURACY, or a weight or term
+    that is not finite, raises SeriesDivergenceError instead of returning
+    lost digits.  For a 1-D tau the sums go through _bessel_sum_rows; entry
+    i equals the float call at tau_i.
     """
     if not isinstance(tau, float):
         return _bessel_sum_rows(name, tau, rho, weights)
@@ -180,34 +185,22 @@ def _bessel_sum(name: str, tau, rho: float, weights):
     # |w_l J_l(x)| <~ (rho x / 2)^l / l!, so no term past the cap reaches _TERM_BOUND
     cap = _tail_order(0.5 * rho * x, _TERM_BOUND, _MAX_ORDERS)
     if cap is None:
-        raise _too_many_orders(name)
+        raise SeriesDivergenceError(f"{name} needs more than {_MAX_ORDERS} orders")
     with np.errstate(over="ignore", invalid="ignore"):
         terms = weights(cap)
         if np.all(np.isfinite(terms)):  # an overflowing weight skips the recurrence
             terms = terms * bessel_j_array(cap, x)
     if not np.all(np.isfinite(terms)):
-        raise _overflow(name, tau)
+        raise SeriesDivergenceError(f"{name} overflows at tau={tau}", last_term=math.inf)
     scale = float(np.sum(np.abs(terms)))
     if _EPS * scale > SERIES_ACCURACY:
-        raise _cancellation(name, tau, scale, terms[-1])
+        raise SeriesDivergenceError(
+            f"{name} at tau={tau} loses ~{math.log10(scale):.1f} digits to cancellation "
+            f"(error bound {_EPS * scale:.1e} > {SERIES_ACCURACY:g}); c0_contour is "
+            "well conditioned at every delta",
+            last_term=abs(float(terms[-1])),
+        )
     return float(np.sum(terms))
-
-
-def _too_many_orders(name):
-    return SeriesDivergenceError(f"{name} needs more than {_MAX_ORDERS} orders")
-
-
-def _overflow(name, tau):
-    return SeriesDivergenceError(f"{name} overflows at tau={tau}", last_term=math.inf)
-
-
-def _cancellation(name, tau, scale, last):
-    return SeriesDivergenceError(
-        f"{name} at tau={tau} loses ~{math.log10(scale):.1f} digits to cancellation "
-        f"(error bound {_EPS * scale:.1e} > {SERIES_ACCURACY:g}); c0_contour is "
-        "well conditioned at every delta",
-        last_term=abs(float(last)),
-    )
 
 
 def _bessel_sum_rows(name: str, tau: np.ndarray, rho: float, weights) -> np.ndarray:
@@ -216,33 +209,35 @@ def _bessel_sum_rows(name: str, tau: np.ndarray, rho: float, weights) -> np.ndar
     Each row keeps its own order cap and is summed over exactly its own
     orders (numpy's row sums match its 1-D sums bit for bit, while padding a
     row with zeros moves its rounding), so entry i equals the float call at
-    tau_i.  A failing row raises the float call's error, the first one first.
+    tau_i.  The rows stop at the first one whose float call raises: one
+    without an order cap, with a weight that is not finite (as w_l depends on
+    l alone, a cap at or past the first such l), past the Bessel domain, or
+    whose terms cancel or sum past the float range.  That float call is then
+    made, to raise its error.
     """
-    x = 2.0 * tau
-    caps = _tail_order(0.5 * rho * x, _TERM_BOUND, _MAX_ORDERS)
-    unbounded = np.flatnonzero(caps < 0)
-    stop = unbounded[0] if unbounded.size else tau.size  # rows past a raise are not needed
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range the row fails
+        x = 2.0 * tau
+        caps = _tail_order(0.5 * rho * x, _TERM_BOUND, _MAX_ORDERS)
+        finite = np.isfinite(weights(int(caps.max(initial=0))))
+    first_bad = finite.size if finite.all() else np.argmin(finite)
+    fails = np.flatnonzero((caps < 0) | (caps >= first_bad) | (x >= X_MAX))
+    stop = fails[0] if fails.size else tau.size
     out = np.empty(tau.size)
     for block in _row_blocks(caps[:stop] + 1):
         bessel = bessel_j_array(caps[block], x[block])
-        errors = {}  # row -> the error its float call raises
         for cap in np.unique(caps[block]):
             rows = block.start + np.flatnonzero(caps[block] == cap)
-            with np.errstate(over="ignore", invalid="ignore"):  # a weight past the range fails
+            with np.errstate(over="ignore", invalid="ignore"):  # a sum past the range fails
                 terms = weights(int(cap)) * bessel[rows - block.start, : cap + 1]
-            finite = np.all(np.isfinite(terms), axis=1)
-            for i in rows[~finite]:
-                errors[i] = _overflow(name, float(tau[i]))
-            rows, terms = rows[finite], terms[finite]
-            scale = np.sum(np.abs(terms), axis=1)
-            for j in np.flatnonzero(_EPS * scale > SERIES_ACCURACY):
-                errors[rows[j]] = _cancellation(
-                    name, float(tau[rows[j]]), float(scale[j]), terms[j, -1])
-            out[rows] = np.sum(terms, axis=1)
-        if errors:
-            raise errors[min(errors)]
+                scale = np.sum(np.abs(terms), axis=1)
+                out[rows] = np.sum(terms, axis=1)
+            failing = rows[~(_EPS * scale <= SERIES_ACCURACY)]  # also a scale of inf or nan
+            if failing.size:
+                stop = min(stop, failing[0])
+        if stop < block.stop:
+            break
     if stop < tau.size:
-        raise _too_many_orders(name)
+        _bessel_sum(name, float(tau[stop]), rho, weights)  # raises, as argued above
     return out
 
 
@@ -351,14 +346,12 @@ def c0_closed_form(delta: float, tau, mode: str = "reconciled"):
     scalar = isinstance(tau, float)
     if abs(delta - 1.0) < _CLOSED_FORM_WINDOW:
         val = c0_critical(tau)
-    elif delta < 1.0:
-        val = params.amp / 2.0 * _per_tau(math.exp, -params.omega * tau) + s_less(
-            tau, params.gamma, variant=mode
-        )
+    elif delta < 1.0:  # the series first: a tau it cannot take would overflow exp or cos
+        series = s_less(tau, params.gamma, variant=mode)
+        val = params.amp / 2.0 * _per_tau(math.exp, -params.omega * tau) + series
     else:
-        val = params.amp * _per_tau(math.cos, params.omega * tau) + s_greater(
-            tau, params.gamma, variant=mode
-        )
+        series = s_greater(tau, params.gamma, variant=mode)
+        val = params.amp * _per_tau(math.cos, params.omega * tau) + series
     return complex(val) if scalar else val.astype(complex)
 
 
@@ -370,16 +363,17 @@ def _per_tau(fn, arg):
     return np.array([fn(a) for a in arg.tolist()])
 
 
-def c0_contour(delta: float, tau, pole_convention: str = "reconciled"):
+def c0_contour(delta: float, tau):
     """Contour-integral evaluation of c0(tau): circle quadrature + outer residues.
 
     c0 = (1/2 pi i) closed integral over |z| = r of f(z) dz plus the
     residues of the poles outside that circle, with
-    f(z) = exp(i tau (z + 1/z)) (z^2 - 1) / (z (z^2 + q)).  The poles are the
-    roots of z^2 + q: q = 1 - delta^2 ('reconciled', poles +-i*gamma for
-    delta < 1 and +-gamma for delta > 1) or q = gamma^2 ('printed', poles
-    +-i*gamma in both regimes), gamma = sqrt|1 - delta^2|, each with
-    Res = (z_p^2 - 1)/(2 z_p^2) exp(i tau (z_p + 1/z_p)).  The circle is the
+    f(z) = exp(i tau (z + 1/z)) (z^2 - 1) / (z (z^2 + q)), q = 1 - delta^2.
+    The poles are the roots of z^2 + q: +-i*gamma for delta < 1 and +-gamma
+    for delta > 1, gamma = sqrt|1 - delta^2|.  Only the real pair can lie
+    outside the circle, and its residues (gamma^2 - 1)/(2 gamma^2)
+    exp(+-i tau (gamma + 1/gamma)) sum to the closed form's A cos(Omega tau),
+    as gamma + 1/gamma = delta^2/gamma = Omega.  The circle is the
     unit circle, where the exponential has modulus 1 and the periodic
     trapezoid rule converges geometrically (Trefethen & Weideman, SIAM Rev.
     56, 385, 2014); the poles merge into the origin at delta = 1 without
@@ -387,28 +381,25 @@ def c0_contour(delta: float, tau, pole_convention: str = "reconciled"):
     delta -> sqrt(2)) the radius moves to exp(+-min(0.3, 1/tau)), on the far
     side of the poles, which keeps the exponential below e^2.03.  The point
     count doubles from 64 until two refinements agree within
-    CONTOUR_ACCURACY, up to 2^22 points; each doubling evaluates only the
-    new points, and the tau-independent factors at them come from a bounded
-    cache up to 2^12 points.
+    CONTOUR_ACCURACY, up to 2^22 points, or until the change between two is
+    not finite; each doubling evaluates only the new points, and the
+    tau-independent factors at them come from a bounded cache up to 2^12
+    points.
 
     tau may be a 1-D array: the result is then the array of the float calls
     at each tau_i, made in order, and a failing entry raises the error of
     the float call, the first one first.
 
-    Domain: reconciled values are within ~1e-10 of the exact amplitude for
-    every delta > 0 and tau >= 0 (printed values are wrong for delta > 1
-    and run away past sqrt(2)).  Raises QuadratureError where a pole residue overflows
-    or 16 doublings (2^22 points) do not converge (tau >~ 1.048e6), and
-    InvalidSpecError for a delta or tau that is not a finite real number,
-    delta <= 0, an infinite 2 delta^2, tau < 0 or an unknown pole convention.
+    Domain: values are within ~1e-10 of the exact amplitude for every
+    delta > 0 and tau >= 0.  Raises QuadratureError where the quadrature
+    does not converge: in 16 doublings (2^22 points) for tau >~ 1.048e6, and
+    at 128 points past tau ~ 1e18, where the node sums are not finite.
+    Raises InvalidSpecError for a delta or tau that is not a finite real
+    number, delta <= 0, an infinite 2 delta^2 or tau < 0.
     """
-    _check_variant(pole_convention)
     delta = _check_delta(delta)
     tau = _real_or_vector(tau, "tau", ">= 0")
-
     q = 1.0 - delta * delta
-    if pole_convention == "printed":
-        q = abs(q)
     if isinstance(tau, float):
         return _contour_at(delta, q, tau)
     return np.array([_contour_at(delta, q, t) for t in tau.tolist()], dtype=complex)
@@ -419,15 +410,17 @@ def _contour_at(delta: float, q: float, tau: float) -> complex:
     c0_contour itself, so a wrapper of c0_contour sees one call per array."""
     gamma = math.sqrt(abs(q))  # modulus of both poles
     r = _radius(gamma, tau)
-    total = _outer_residues(delta, q, tau) if gamma > r else 0j
-    mean, diff = _circle_mean(tau, r, q)
+    mean, diff, n = _circle_mean(tau, r, q)
     if not diff < CONTOUR_ACCURACY:
         raise QuadratureError(
-            f"contour quadrature did not converge with {_MAX_NODES} points "
+            f"contour quadrature did not converge with {n} points "
             f"(delta={delta}, tau={tau})",
             achieved=diff,
         )
-    return complex(total + mean)
+    if gamma > r:  # the real poles +-gamma of delta > 1, whose residues sum to A cos(Omega tau)
+        params = regime_params(delta)
+        return complex(params.amp * math.cos(params.omega * tau) + mean)
+    return complex(mean)
 
 
 def _radius(gamma: float, tau: float) -> float:
@@ -437,21 +430,6 @@ def _radius(gamma: float, tau: float) -> float:
     # poles this close slow the trapezoid rule: step past them
     shift = min(0.3, 1.0 / tau) if tau > 0 else 0.3  # tau |r - 1/r| <= 2.03
     return math.exp(shift if gamma <= 1.0 else -shift)
-
-
-def _outer_residues(delta: float, q: float, tau: float) -> complex:
-    """Sum of the residues at the roots +-sqrt(-q) of z^2 + q; QuadratureError if it overflows."""
-    zp = cmath.sqrt(-q)
-    try:
-        total = sum(
-            (z * z - 1.0) / (2.0 * z * z) * cmath.exp(1j * tau * (z + 1.0 / z))
-            for z in (zp, -zp)
-        )
-    except OverflowError:
-        total = complex(math.inf)
-    if not cmath.isfinite(total):  # an exp near the limit can overflow in the sum
-        raise QuadratureError(f"pole residue overflows at delta={delta}, tau={tau}")
-    return total
 
 
 #: node factors are cached for the point counts up to this one
@@ -471,29 +449,38 @@ def _node_factor(r: float, q: float, n: int):
 #: the radius is a per-tau float where gamma is near 1, so the cache is bounded
 _cached_node_factor = functools.lru_cache(maxsize=64)(_node_factor)
 
+#: np.exp cannot overflow below this tau (tau |Im(z + 1/z)| <= 2.03 + tau * 1e-15), so
+#: _circle_mean enters np.errstate, about a tenth of a call's cost, only past it
+_HUGE_TAU = 1e15
+
 
 def _circle_mean(tau: float, r: float, q: float):
-    """(mean, last change) of f(z) z over the nodes on |z| = r.
+    """(mean, last change, point count) of f(z) z over the nodes on |z| = r.
 
     (1/2 pi i) closed integral of f dz = mean of f(z) z over the nodes.  n
-    doubles from 64 until two means agree within CONTOUR_ACCURACY, or up to
-    _MAX_NODES; the change then returned is not below it.
+    doubles from 64 until two means agree within CONTOUR_ACCURACY, up to
+    _MAX_NODES, or until their change is not finite (past tau ~ 1e18 the
+    rounding of z + 1/z overflows the exponential), returned as inf; the
+    change then returned is not below CONTOUR_ACCURACY.
     """
     phase = 1j * tau
     total, prev, n = 0j, None, 64
-    while n <= _MAX_NODES:
-        a, b = (_cached_node_factor if n <= _CACHED_NODES else _node_factor)(r, q, n)
-        terms = np.exp(phase * a)
-        terms *= b
-        total += terms.sum()
-        mean = total / n
-        if prev is not None:
-            diff = abs(mean - prev)
-            if diff < CONTOUR_ACCURACY:
-                break
-        prev = mean
-        n *= 2
-    return mean, diff
+    quiet = tau > _HUGE_TAU
+    with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+        while True:
+            a, b = (_cached_node_factor if n <= _CACHED_NODES else _node_factor)(r, q, n)
+            terms = np.exp(phase * a)
+            terms *= b
+            total += terms.sum()
+            mean = total / n
+            if prev is not None:
+                diff = abs(mean - prev)
+                if diff < CONTOUR_ACCURACY or n == _MAX_NODES:
+                    return mean, diff, n
+                if not math.isfinite(diff):
+                    return mean, math.inf, n
+            prev = mean
+            n *= 2
 
 
 #: bound states require delta^2 - 2 > this margin (delta > sqrt(2);

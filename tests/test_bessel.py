@@ -82,6 +82,10 @@ def test_domain_errors():
         bessel_j(0, 1.0e4)
     with pytest.raises(InvalidSpecError):
         bessel_j_array(-1, 1.0)
+    with pytest.raises(InvalidSpecError, match=r"argument 20000\.0 outside supported domain"):
+        bessel_j_array(2, np.array([1.0, 2.0e4]))
+    with pytest.raises(InvalidSpecError, match=r"one per x \(3\), got shape \(2,\)"):
+        bessel_j_array(np.array([1, 2]), np.array([1.0, 2.0, 3.0]))
     for order in (0.5, -1.5, np.nan, np.inf, "2"):
         with pytest.raises(InvalidSpecError, match=f"order must be an integer, got {order}"):
             bessel_j(order, 1.0)

@@ -64,6 +64,11 @@ def test_norm_and_inner():
     assert inner(f, f).real == pytest.approx(1.0, rel=1e-12)
 
 
+def test_normalized_rejects_a_zero_field():
+    with pytest.raises(InvalidSpecError, match="^cannot normalize a zero field$"):
+        Field(TransverseGrid(8, 8, 1.0, 1.0, 0.0, 0.0), np.zeros((8, 8))).normalized()
+
+
 def test_normalized_rejects_a_nan():
     # one NaN would otherwise turn all 64 values NaN
     values = np.ones((8, 8))
@@ -124,13 +129,16 @@ def test_file_header_fields_are_checked(tmp_path, field, text, message):
     "edit, message",
     [
         (lambda rows: [rows[0].replace("0", "abc", 1), *rows[1:]],
-         "could not convert string 'abc' to float64 at row 0, column 1."),
-        (lambda rows: [*rows[:-1], "0 0"],
-         "the number of columns changed from 8 to 2 at row 8; use `usecols` to select a "
-         "subset and avoid this error"),
+         "line 2: could not convert string to float: 'abc'"),
+        (lambda rows: [*rows[:-1], "0 0"], "line 9 has 2 values, the first row has 8"),
         (lambda rows: [], "no field values after the header"),
+        # blank and comment lines count: the lines are the file's own
+        (lambda rows: ["", "# a note", rows[0].replace("0", "x", 2), *rows[1:]],
+         "line 4: could not convert string to float: 'x'"),
+        (lambda rows: [rows[0], "  # a note", "0 0 0", *rows[1:]],
+         "line 4 has 3 values, the first row has 8"),
     ],
-    ids=["token", "ragged", "empty"],
+    ids=["token", "ragged", "empty", "token_after_comment", "ragged_after_comment"],
 )
 def test_file_body_errors_name_the_file(tmp_path, edit, message):
     path = tmp_path / "field.txt"

@@ -33,6 +33,13 @@ def test_params_must_be_finite_and_positive(field, value):
         dataclasses.replace(P, **{field: value})
 
 
+@pytest.mark.parametrize("shape", [(41, 40), (40, 41), (41 * 41,)])
+def test_profile_index_map_must_match_the_grid(shape):
+    prof = ricker_profile(P, TransverseGrid.centered(40.0, 40.0, 1.0, 1.0))
+    with pytest.raises(InvalidSpecError, match="index map shape does not match grid"):
+        dataclasses.replace(prof, n=np.full(shape, 1.457))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
 def test_profile_n0_must_be_finite_and_positive(value):
     prof = ricker_profile(P, TransverseGrid.centered(40.0, 40.0, 1.0, 1.0))

@@ -49,6 +49,20 @@ def test_zero_coupling_raises():
         pair_splitting_beta(27.1, EmeConfig(delta_n=1.05, step=2.0))
 
 
+# a contrast this weak on a grid this coarse binds no mode, and each solve stays cheap
+UNBOUND = EmeConfig(delta_n=1e-6, step=4.0)
+
+
+def test_unbound_pair_raises():
+    with pytest.raises(InvalidSpecError, match="two-guide system at gap 27.1 um has < 2 bound"):
+        pair_splitting_beta(27.1, UNBOUND)
+
+
+def test_unbound_isolated_guide_raises():
+    with pytest.raises(InvalidSpecError, match="isolated guide binds no mode"):
+        run_eme(preset("A1"), TimeGrid.uniform(1.0, 5), UNBOUND)
+
+
 def test_preset_consistency_enforced():
     with pytest.raises(InvalidSpecError):
         ExperimentPreset("bad", d0=30.0, d=27.1, beta0=0.5, beta=0.2, delta=1.0)

@@ -1,5 +1,7 @@
 """Chain construction and exact propagation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -102,6 +104,25 @@ def test_state_must_be_finite(bad):
 def test_trace_rejects_nan_rows():
     with pytest.raises(InvalidSpecError, match="row norm"):
         AmplitudeTrace(TimeGrid.uniform(1.0, 2), np.full((2, 3), np.nan, dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 1, 1)])
+def test_trace_shape_must_match_the_grid(shape):
+    message = f"amplitudes shape {shape} does not match grid length 2"
+    with pytest.raises(InvalidSpecError, match=re.escape(message)):
+        AmplitudeTrace(TimeGrid.uniform(1.0, 2), np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("state", [initial_state(5), initial_state(7), np.ones((6, 1))])
+def test_state_shape_must_match_the_operator(state):
+    with pytest.raises(InvalidSpecError, match=r"state has shape .* operator needs \(6,\)"):
+        propagate(build_hamiltonian(LatticeSpec(6)), state, TimeGrid.uniform(1.0, 5))
+
+
+@pytest.mark.parametrize("size", [4, 6])
+def test_decay_rate_length_must_match_the_grid(size):
+    with pytest.raises(InvalidSpecError, match="prob0 length must match the grid"):
+        effective_decay_rate(np.ones(size), TimeGrid.uniform(1.0, 5))
 
 
 def _full_chain_amplitudes(off, state0, tau):

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defectlattice import (
+    InvalidSpecError,
     QuadratureError,
     SeriesDivergenceError,
     bessel_j_array,
@@ -39,7 +40,7 @@ def _scalar_loop(fn, taus):
     for t in taus:
         try:
             out.append(fn(float(t)))
-        except (SeriesDivergenceError, QuadratureError) as exc:
+        except (SeriesDivergenceError, QuadratureError, InvalidSpecError) as exc:
             return out, exc
     return out, None
 
@@ -63,7 +64,7 @@ def _evaluators(delta, variant):
         "c0_critical": c0_critical,
         "survival_series": functools.partial(survival_series, delta),
         "c0_closed_form": functools.partial(c0_closed_form, delta, mode=variant),
-        "c0_contour": functools.partial(c0_contour, delta, pole_convention=variant),
+        "c0_contour": functools.partial(c0_contour, delta),
     }
     if 0.0 < gamma <= 1.0:
         calls["s_less"] = lambda t: s_less(t, gamma, variant=variant)
@@ -109,7 +110,10 @@ def test_bessel_rows_share_one_l_max():
 @example(delta=0.99, taus=[0.5, 4.0, 1.0, 30.0], variant="reconciled")  # closed form cancels
 @example(delta=6.0, taus=[0.2, 4.0, 0.0], variant="reconciled")  # survival_series cancels
 @example(delta=1.0 + 5e-7, taus=[1.0, 10.0], variant="reconciled")  # closed form overflows
-@example(delta=6.0, taus=[1.0, 200.0, 2.0], variant="printed")  # a pole residue overflows
+@example(delta=0.474, taus=[1.0, 6000.0, 2.0], variant="reconciled")  # s_less weights overflow
+@example(delta=4.17, taus=[5000.0, 1.0], variant="printed")  # past the Bessel domain
+@example(delta=4.17, taus=[1.0, 1e308], variant="reconciled")  # 2 tau overflows
+@example(delta=0.474, taus=[1e308, 0.0], variant="printed")
 @example(delta=0.1, taus=[0.0, 3.0, 3.5, 4.0, 3.0], variant="reconciled")  # radius per tau
 def test_evaluator_rows_equal_scalar_calls(delta, taus, variant):
     for fn in _evaluators(delta, variant).values():
@@ -124,8 +128,11 @@ def test_evaluator_rows_equal_scalar_calls(delta, taus, variant):
         (functools.partial(survival_series, 6.0), [0.2, 4.0, 0.3], SeriesDivergenceError,
          r"at tau=4\.0 loses"),
         (lambda t: s_less(t, 1e-3), [0.0, 4000.0, 0.0], SeriesDivergenceError, "orders"),
-        (functools.partial(c0_contour, 6.0, pole_convention="printed"), [1.0, 200.0, 300.0],
-         QuadratureError, r"residue overflows at delta=6\.0, tau=200\.0"),
+        (functools.partial(c0_contour, 4.17), [1.0, 1e308, 1e200], QuadratureError,
+         r"did not converge with 128 points \(delta=4\.17, tau=1e\+308\)"),
+        (lambda t: s_less(t, 0.88), [1.0, 6000.0], SeriesDivergenceError,
+         r"s_less overflows at tau=6000\.0"),
+        (c0_critical, [1.0, 1e308, 6000.0], InvalidSpecError, "x must be finite and >= 0, got inf"),
     ],
 )
 def test_one_failing_tau_raises_the_scalar_error(fn, taus, err, match):
