@@ -40,8 +40,8 @@ return to within SERIES_ACCURACY = 1e-8 and raise SeriesDivergenceError
 where cancellation would lose more -- at tau <= 4 the closed form for
 delta in about [0.970, 1.028], survival_series for delta >~ 4.9, both
 wider at larger tau.  :func:`c0_contour` returns to ~1e-10 for every
-delta > 0 and tau >= 0, delta = 1 included; it raises QuadratureError where
-the quadrature does not converge.
+delta > 0, delta = 1 included, and tau below about 1.05e6; it raises
+QuadratureError where the quadrature does not converge.
 
 printed vs reconciled
 ---------------------
@@ -71,7 +71,6 @@ reconciled poles only.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -97,6 +96,11 @@ SERIES_ACCURACY = 1e-8
 CONTOUR_ACCURACY = 1e-10
 #: contour point cap, 16 doublings from 64 (tau = 1e6 converges at exactly this)
 _MAX_NODES = 2 ** 22
+#: on the unit circle exp(i tau (z + 1/z)) = sum_m i^m J_m(2 tau) e^(i m theta), and
+#: an n-point rule folds mode m onto m - n.  From this tau on, 2 tau >= 2^21, so the
+#: last rule but one folds modes m <= 2 tau, where J_m(2 tau) has not started to
+#: decay, and the last doubling cannot agree within CONTOUR_ACCURACY
+_MAX_CONTOUR_TAU = _MAX_NODES / 4
 _EPS = float(np.finfo(float).eps)
 
 _VARIANTS = ("reconciled", "printed")
@@ -145,16 +149,24 @@ def regime_params(delta: float) -> RegimeParams:
 def c0_critical(tau):
     """Critical branch J_1(2 tau)/tau, with the exact limit 1 at tau = 0.
 
+    Domain: 0 <= tau < X_MAX/2 = 5000, so that 2 tau is inside the Bessel
+    domain; a larger tau raises InvalidSpecError naming tau and that bound.
     tau may be a 1-D array: the result is then an array whose entry i
-    equals c0_critical(tau_i) bit for bit.
+    equals c0_critical(tau_i) bit for bit, and its first tau past the bound
+    raises the float call's error.
     """
     tau = _real_or_vector(tau, "tau", ">= 0")
     if isinstance(tau, float):
+        if tau >= 0.5 * X_MAX:
+            raise InvalidSpecError(
+                f"c0_critical needs tau < {0.5 * X_MAX:g} (2 tau inside the Bessel domain "
+                f"|x| < {X_MAX:g}), got tau={tau}"
+            )
         if tau == 0.0:
             return 1.0
         return bessel_j(1, 2.0 * tau) / tau
     far = np.flatnonzero(tau >= 0.5 * X_MAX)
-    if far.size:  # 2 tau past the Bessel domain: the float call raises
+    if far.size:  # the float call raises
         c0_critical(float(tau[far[0]]))
     out = np.ones(tau.size)
     pos = np.flatnonzero(tau > 0.0)
@@ -381,19 +393,20 @@ def c0_contour(delta: float, tau):
     delta -> sqrt(2)) the radius moves to exp(+-min(0.3, 1/tau)), on the far
     side of the poles, which keeps the exponential below e^2.03.  The point
     count doubles from 64 until two refinements agree within
-    CONTOUR_ACCURACY, up to 2^22 points, or until the change between two is
-    not finite; each doubling evaluates only the new points, and the
-    tau-independent factors at them come from a bounded cache up to 2^12
-    points.
+    CONTOUR_ACCURACY, up to 2^22 points; each doubling evaluates only the
+    new points, and the tau-independent factors at them come from a bounded
+    cache up to 2^12 points.
 
     tau may be a 1-D array: the result is then the array of the float calls
     at each tau_i, made in order, and a failing entry raises the error of
     the float call, the first one first.
 
-    Domain: values are within ~1e-10 of the exact amplitude for every
-    delta > 0 and tau >= 0.  Raises QuadratureError where the quadrature
-    does not converge: in 16 doublings (2^22 points) for tau >~ 1.048e6, and
-    at 128 points past tau ~ 1e18, where the node sums are not finite.
+    Domain: every delta > 0 and 0 <= tau < 2^20 (about 1.049e6; tau = 1e6
+    converges).  Values are within ~1e-10 of the exact amplitude; where 16
+    doublings (2^22 points) do not converge, QuadratureError is raised.
+    From tau = 2^20 on the last doubling cannot converge (the 2^21-point
+    rule folds the Bessel orders m <= 2 tau), so that error is raised
+    before any node is evaluated.
     Raises InvalidSpecError for a delta or tau that is not a finite real
     number, delta <= 0, an infinite 2 delta^2 or tau < 0.
     """
@@ -449,38 +462,33 @@ def _node_factor(r: float, q: float, n: int):
 #: the radius is a per-tau float where gamma is near 1, so the cache is bounded
 _cached_node_factor = functools.lru_cache(maxsize=64)(_node_factor)
 
-#: np.exp cannot overflow below this tau (tau |Im(z + 1/z)| <= 2.03 + tau * 1e-15), so
-#: _circle_mean enters np.errstate, about a tenth of a call's cost, only past it
-_HUGE_TAU = 1e15
-
 
 def _circle_mean(tau: float, r: float, q: float):
     """(mean, last change, point count) of f(z) z over the nodes on |z| = r.
 
     (1/2 pi i) closed integral of f dz = mean of f(z) z over the nodes.  n
     doubles from 64 until two means agree within CONTOUR_ACCURACY, up to
-    _MAX_NODES, or until their change is not finite (past tau ~ 1e18 the
-    rounding of z + 1/z overflows the exponential), returned as inf; the
-    change then returned is not below CONTOUR_ACCURACY.
+    _MAX_NODES; the change returned is then not below CONTOUR_ACCURACY.  From
+    tau = _MAX_CONTOUR_TAU on, that is certain, so no node is evaluated: the
+    change is returned as inf, at _MAX_NODES.  Below it tau |Im(z + 1/z)| <=
+    2.03 + tau * 1e-15 on the circle, so the exponential cannot overflow.
     """
+    if tau >= _MAX_CONTOUR_TAU:
+        return math.nan, math.inf, _MAX_NODES
     phase = 1j * tau
     total, prev, n = 0j, None, 64
-    quiet = tau > _HUGE_TAU
-    with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
-        while True:
-            a, b = (_cached_node_factor if n <= _CACHED_NODES else _node_factor)(r, q, n)
-            terms = np.exp(phase * a)
-            terms *= b
-            total += terms.sum()
-            mean = total / n
-            if prev is not None:
-                diff = abs(mean - prev)
-                if diff < CONTOUR_ACCURACY or n == _MAX_NODES:
-                    return mean, diff, n
-                if not math.isfinite(diff):
-                    return mean, math.inf, n
-            prev = mean
-            n *= 2
+    while True:
+        a, b = (_cached_node_factor if n <= _CACHED_NODES else _node_factor)(r, q, n)
+        terms = np.exp(phase * a)
+        terms *= b
+        total += terms.sum()
+        mean = total / n
+        if prev is not None:
+            diff = abs(mean - prev)
+            if diff < CONTOUR_ACCURACY or n == _MAX_NODES:
+                return mean, diff, n
+        prev = mean
+        n *= 2
 
 
 #: bound states require delta^2 - 2 > this margin (delta > sqrt(2);

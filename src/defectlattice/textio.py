@@ -1,8 +1,9 @@
-"""CSV reading/writing with lossless float round-trip and atomic replace.
+"""CSV writing with lossless float round-trip, and atomic file replace.
 
 Conventions: comma separators, one header row, LF endings, UTF-8, numbers
 at 17 significant digits (bit-exact for IEEE doubles).  Missing values
-(NaN in memory) are empty fields, never NaN/inf tokens.
+(NaN in memory) are empty fields, never NaN/inf tokens.  The package only
+writes CSV; the tests read it back (tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-
-from .errors import InvalidSpecError
 
 
 def format_value(x) -> str:
@@ -44,21 +43,3 @@ def write_csv(path: str, header: list[str], rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_value(v) for v in row) + "\n")
-
-
-def read_csv(path: str) -> tuple[list[str], list[list[float | None]]]:
-    """Read a CSV written by write_csv; empty fields come back as None."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise InvalidSpecError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        vals: list[float | None] = []
-        for tok in ln.split(","):
-            vals.append(None if tok == "" else float(tok))
-        rows.append(vals)
-    return header, rows

@@ -57,3 +57,12 @@ def propagation_c0(delta: float, taus, n_sites: int = 600) -> np.ndarray:
         build_hamiltonian(LatticeSpec(n_sites, delta=delta)), initial_state(n_sites), grid
     )
     return tr.amplitudes[:, 0]
+
+
+def read_csv(path: str) -> tuple[list[str], list[list[float | None]]]:
+    """Read a CSV written by textio.write_csv; empty fields come back as None."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines()
+    return header.split(","), [
+        [None if tok == "" else float(tok) for tok in ln.split(",")] for ln in lines if ln
+    ]

@@ -18,7 +18,8 @@ from defectlattice.eme import (
     solve_modes,
     write_field,
 )
-from defectlattice.textio import read_csv, write_csv
+from defectlattice.textio import write_csv
+from helpers import read_csv
 
 SUBCOMMANDS = [
     "closed-form",

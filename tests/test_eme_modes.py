@@ -520,3 +520,49 @@ def test_in_band_solve_is_certified_or_falls_back_to_far_shift(
         assert np.max(np.abs(ms.modes[0].values - far.modes[0].values)) < 1e-10
     else:
         _assert_same_modes(ms, far)
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """(shift, pairs asked for, subspace size) of each Lanczos run during a test."""
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append((kw["sigma"], kw["k"], kw["ncv"]))
+        return eigsh(*args, **kw)
+
+    monkeypatch.setattr(modes_module, "eigsh", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "k, band_above_n0, failure, want",
+    [
+        (4, None, None, "far:2:20 far:1:20"),
+        # in band, certified in both blocks
+        (4, "isolated", None, "in-band:2:5 in-band:1:3"),
+        # in band, then at the far shift, in both blocks
+        (4, 1e-7, None, "in-band:2:5 far:2:20 in-band:1:3 far:1:20"),
+        # no counts: each of the four blocks is asked for 10 pairs
+        (10, None, "singular", "far:10:21 far:10:21 far:10:21 far:10:21"),
+    ],
+    ids=["far", "in-band", "in-band-then-far", "far-k10"],
+)
+def test_lanczos_subspace_is_sized_to_the_shift(
+    k, band_above_n0, failure, want, trio, monkeypatch, runs
+):
+    # at an in-band shift the first Lanczos pass converges, so 2k+1 vectors
+    # do; at the far shift ARPACK restarts, and keeps max(20, 2k+1)
+    profile, _ = trio
+    if failure is not None:  # the count factorizations come first in each block
+        _fail_factorizations(monkeypatch, failure, lambda call: call % 2 == 1)
+    if band_above_n0 == "isolated":
+        band = solve_modes(ricker_profile(DESK, TransverseGrid.centered(72.0, 72.0, 0.5, 0.5)),
+                           LAM, 1).n_eff[0]
+    else:
+        band = None if band_above_n0 is None else N0 + band_above_n0
+    runs.clear()
+    modes_module._solve_modes(profile, LAM, k, band=band)
+    far = _far_shift(profile)
+    got = " ".join(f"{'far' if sigma == far else 'in-band'}:{n}:{ncv}" for sigma, n, ncv in runs)
+    assert got == want

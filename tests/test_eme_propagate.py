@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from defectlattice import DegenerateInputError, InvalidSpecError
 from defectlattice.eme import (
@@ -150,3 +153,30 @@ def test_fidelity_examples(pair_system):
     assert mode_fidelity(a, b) < 1e-8  # orthogonal eigenmodes
     with pytest.raises(DegenerateInputError):
         mode_fidelity(a, Field(grid, np.zeros((grid.ny, grid.nx))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    nx=st.integers(8, 24),
+    step=st.sampled_from([0.25, 0.3, 0.5, 1.0, 1.25]),
+    x0=st.floats(-20.0, 20.0),
+    nodes=st.integers(-30, 30),
+    offset=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+    data=st.data(),
+)
+@example(nx=8, step=0.5, x0=-1.75, nodes=0, offset=0.0, data=None)  # no shift
+@example(nx=8, step=0.5, x0=-1.75, nodes=7, offset=0.0, data=None)  # onto the last node
+@example(nx=8, step=0.5, x0=-1.75, nodes=-7, offset=0.0, data=None)  # onto the first node
+@example(nx=8, step=0.5, x0=-1.75, nodes=8, offset=1e-12, data=None)  # just past the right end
+@example(nx=8, step=0.3, x0=-1.05, nodes=-3, offset=0.123, data=None)
+def test_shift_mode_is_rowwise_interp(nx, step, x0, nodes, offset, data):
+    # on nodes, off nodes, negative, and past both edges
+    grid = TransverseGrid(nx, 8, step, 1.0, x0, 0.0)
+    elements = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    values = (np.random.default_rng(nx).normal(size=(grid.ny, nx)) if data is None
+              else data.draw(arrays(float, (grid.ny, nx), elements=elements)))
+    dx = nodes * step + offset * step
+    x = grid.x
+    want = np.array([np.interp(x - dx, x, row, left=0.0, right=0.0) for row in values])
+    got = shift_mode(Field(grid, values), dx).values
+    assert np.array_equal(got, want)

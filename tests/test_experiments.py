@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import defectlattice.eme.modes as modes_module
 from defectlattice import (
     InvalidSpecError,
     LatticeSpec,
@@ -21,7 +22,7 @@ from defectlattice import (
     site_probabilities,
 )
 from defectlattice import experiments
-from defectlattice.eme import ricker_profile, solve_modes
+from defectlattice.eme import WaveguideGeometry, array_profile, ricker_profile, solve_modes
 from defectlattice.experiments import EmeConfig, ExperimentPreset, pair_splitting_beta
 
 
@@ -208,6 +209,37 @@ PINNED_BETA = {19.6: 0.2739779487065596, 27.1: 0.05280765707266888, 31.2: 0.0218
 @pytest.mark.parametrize("gap", sorted(PINNED_BETA))
 def test_pair_calibration_pins(gap):
     assert pair_splitting_beta(gap, COARSE) == pytest.approx(PINNED_BETA[gap], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("gap", sorted(PINNED_BETA))
+def test_pair_calibration_solves_the_odd_sector_in_band(gap, monkeypatch):
+    # two factorizations, no count: the x-even top at the far shift, then the
+    # x-odd top at the x-even top's k0^2 n_eff^2, where one Lanczos pass of
+    # three vectors certifies it
+    factored, runs = [], []
+    real_splu, real_eigsh = modes_module.splu, modes_module.eigsh
+
+    def splu(*args, **kw):
+        factored.append(args[0].shape[0])
+        return real_splu(*args, **kw)
+
+    def eigsh(*args, **kw):
+        runs.append((kw["sigma"], kw["ncv"]))
+        return real_eigsh(*args, **kw)
+
+    monkeypatch.setattr(modes_module, "splu", splu)
+    monkeypatch.setattr(modes_module, "eigsh", eigsh)
+    beta = pair_splitting_beta.__wrapped__(gap, COARSE)  # past the cache
+    assert beta == pair_splitting_beta(gap, COARSE)
+    monkeypatch.undo()
+    geom = WaveguideGeometry.from_spacings(2, gap, gap)
+    profile = array_profile(COARSE.ricker(), geom, COARSE.grid_for(geom))
+    n_even = experiments._solve_modes(profile, COARSE.wavelength, 1, sector=0).n_eff[0]
+    assert len(factored) == 2
+    (_, even_ncv), (odd_sigma, odd_ncv) = runs
+    assert even_ncv == 20
+    assert odd_sigma == (2.0 * np.pi / COARSE.wavelength) ** 2 * float(n_even) ** 2
+    assert odd_ncv == 3
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3"])  # nx 324, 321 and 315 at this step

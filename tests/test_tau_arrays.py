@@ -7,6 +7,7 @@ scalar call that does: the same class, message and diagnostic.
 
 import functools
 import math
+import re
 import time
 
 import numpy as np
@@ -129,10 +130,19 @@ def test_evaluator_rows_equal_scalar_calls(delta, taus, variant):
          r"at tau=4\.0 loses"),
         (lambda t: s_less(t, 1e-3), [0.0, 4000.0, 0.0], SeriesDivergenceError, "orders"),
         (functools.partial(c0_contour, 4.17), [1.0, 1e308, 1e200], QuadratureError,
-         r"did not converge with 128 points \(delta=4\.17, tau=1e\+308\)"),
+         r"did not converge with 4194304 points \(delta=4\.17, tau=1e\+308\)"),
         (lambda t: s_less(t, 0.88), [1.0, 6000.0], SeriesDivergenceError,
          r"s_less overflows at tau=6000\.0"),
-        (c0_critical, [1.0, 1e308, 6000.0], InvalidSpecError, "x must be finite and >= 0, got inf"),
+        (c0_critical, [1.0, 1e308, 6000.0], InvalidSpecError,
+         r"c0_critical needs tau < 5000 .*, got tau=1e\+308$"),
+        # each names tau and its bound, not the Bessel argument 2 tau
+        (c0_critical, [1.0, 6000.0, 1e308], InvalidSpecError,
+         r"^c0_critical needs tau < 5000 \(2 tau inside the Bessel domain \|x\| < 10000\), "
+         r"got tau=6000\.0$"),
+        (functools.partial(c0_closed_form, 1.0), [0.0, 5000.0], InvalidSpecError,
+         r"c0_critical needs tau < 5000 .*, got tau=5000\.0$"),
+        (functools.partial(c0_closed_form, 1.0), [2.0, 1e308], InvalidSpecError,
+         r"c0_critical needs tau < 5000 .*, got tau=1e\+308$"),
     ],
 )
 def test_one_failing_tau_raises_the_scalar_error(fn, taus, err, match):
@@ -141,6 +151,24 @@ def test_one_failing_tau_raises_the_scalar_error(fn, taus, err, match):
     with pytest.raises(err, match=match) as raised:
         fn(np.array(taus))
     assert str(raised.value) == str(error)
+
+
+@pytest.mark.parametrize("tau", [1.1e6, 1e8, 1e17])
+@pytest.mark.parametrize("form", ["scalar", "array"])
+def test_contour_gives_up_before_evaluating_a_node(tau, form):
+    # from tau = 2^20 on, 2^21 points cannot resolve J_m(2 tau) for m <= 2 tau,
+    # so the 2^22-point error is raised at once instead of after 16 doublings
+    arg = tau if form == "scalar" else np.array([0.5, tau, 2.0])
+    start = time.perf_counter()
+    message = f"contour quadrature did not converge with 4194304 points (delta=0.5, tau={tau!r})"
+    with pytest.raises(QuadratureError, match=f"^{re.escape(message)}$"):
+        c0_contour(0.5, arg)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_contour_still_converges_at_tau_1e6():
+    # 2 tau = 2e6 lies below the 2^21 points of the last rule but one
+    assert abs(c0_contour(0.5, 1e6)) < 1e-9
 
 
 def test_contour_row_stops_at_its_node_cap():
