@@ -132,14 +132,9 @@ def write_field(path: str, field: Field) -> None:
     if np.iscomplexobj(v):
         raise InvalidSpecError("field files store real values; write re/im separately")
     g = field.grid
+    header = f"nx={g.nx} ny={g.ny} dx={g.dx:.17g} dy={g.dy:.17g} x0={g.x0:.17g} y0={g.y0:.17g}"
     with atomic_write(path) as fh:
-        fh.write(
-            f"# nx={g.nx} ny={g.ny} dx={g.dx:.17g} dy={g.dy:.17g} "
-            f"x0={g.x0:.17g} y0={g.y0:.17g}\n"
-        )
-        for row in v:
-            fh.write(" ".join(format(x, ".17g") for x in row))
-            fh.write("\n")
+        np.savetxt(fh, v, fmt="%.17g", header=header, comments="# ")
 
 
 def _number(text: str):

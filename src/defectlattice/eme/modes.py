@@ -38,14 +38,15 @@ eigenvector is again positive and so even, hence the odd half tops out
 below the even half.  Each block is asked for min(count, k) pairs, and
 the merged pairs are cut to the top k, which are exactly the bound top k.
 
-Sectors.  The same argument makes the top mode of the x-even (x-odd)
-sector of an x-symmetric profile the top of its x-even (x-odd), y-even
-block.  So the two supermodes of a mirror-symmetric pair of guides are
-two k = 1 solves, one block each, with no count: the pair calibration of
-``experiments.pair_splitting_beta`` factors twice, where solving for
-k = 2 factors five times (three counts, two solves).  The x-odd top lies
-below the x-even top, so the calibration solves the x-odd sector at the
-in-band shift k0^2 n_eff^2 of the x-even top (see below), where no x-odd
+Sectors.  The same argument makes the top mode of the x-odd sector of an
+x-symmetric profile the top of its x-odd, y-even block, and the top of
+the x-even sector is the top mode itself.  So the two supermodes of a
+mirror-symmetric pair of guides are two k = 1 solves, one block each,
+with no count: the pair calibration of ``experiments.pair_splitting_beta``
+factors twice, where solving for k = 2 factors five times (three counts,
+two solves).  The x-even top is a plain k = 1 solve.  The x-odd top lies
+below it, so the calibration finds it by an x_odd solve at the in-band
+shift k0^2 n_eff^2 of the x-even top (see below), where no x-odd
 eigenvalue lies above the shift and the nearest pair is certified.
 
 Shift placement.  Each block is solved by shift-invert Lanczos.  By
@@ -233,46 +234,40 @@ def _lanczos(
     )
 
 
-def _in_band_pairs(shifted: sp.csc_matrix, shift: float, k: int):
-    """The k eigenpairs of A nearest an in-band shift, from shifted = A -
-    shift*I, where the completeness rule certifies them as the top k (see
-    the module docstring); None where it cannot."""
-    lu = _try_factor(shifted)
-    if lu is None:
-        return None
-    w, v = _lanczos(shifted, lu, shift, k, 2 * k + 1)
-    # counted after the solve: reading lu.U keeps a copy of the factors
-    # alive as long as lu
-    return (w, v) if np.count_nonzero(w > shift) == _count_above(lu) else None
-
-
 def _top_eigenpairs(
     profile: IndexProfile, k0: float, x: tuple, y: tuple, sigma: float, k: int,
     in_band: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The top k eigenpairs of one parity block, unsorted: at the in-band
-    shift `in_band` where they are certified, else at the far shift sigma."""
-    pairs = None if in_band is None else _in_band_pairs(
-        _operator(profile, k0, x, y, in_band), in_band, k)
-    if pairs is None:
-        shifted = _operator(profile, k0, x, y, sigma)
-        pairs = _lanczos(shifted, _factor(shifted), sigma, k, max(20, 2 * k + 1))
-    return pairs
+    """The top k eigenpairs of one parity block, unsorted: the k nearest the
+    in-band shift `in_band` where the completeness rule certifies them as the
+    top k (see the module docstring), else the k nearest the far shift sigma."""
+    if in_band is not None:
+        shifted = _operator(profile, k0, x, y, in_band)
+        lu = _try_factor(shifted)
+        if lu is not None:
+            w, v = _lanczos(shifted, lu, in_band, k, 2 * k + 1)
+            # counted after the solve: reading lu.U keeps a copy of the factors
+            # alive as long as lu
+            if np.count_nonzero(w > in_band) == _count_above(lu):
+                return w, v
+            del lu  # so neither is alive while the far shift is factored
+    shifted = _operator(profile, k0, x, y, sigma)
+    return _lanczos(shifted, _factor(shifted), sigma, k, max(20, 2 * k + 1))
 
 
 def _block_eigenpairs(
     profile: IndexProfile, k0: float, sigma: float, k: int,
-    in_band: float | None = None, sector: int | None = None,
+    in_band: float | None = None, x_odd: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs from the parity blocks as (values, (m, ny, nx) full-grid
-    vectors); they include the top k of the profile, or of its x-even
-    (sector 0) or x-odd (sector 1) sector (see the module docstring)."""
+    vectors); they include the top k of the profile, or with x_odd of its
+    x-odd sector (see the module docstring)."""
     g, n = profile.grid, profile.n
     xs = _parity_bases(g.nx, g.dx, np.array_equal(n, n[:, ::-1]))
     ys = _parity_bases(g.ny, g.dy, np.array_equal(n, n[::-1]))
-    blocks = [(ix, iy) for iy in range(len(ys)) for ix in range(len(xs)) if sector in (None, ix)]
+    blocks = [(ix, iy) for iy in range(len(ys)) for ix in range(int(x_odd), len(xs))]
     if k == 1:
-        blocks = blocks[:1]  # even in y, and in x without a sector: holds the top mode
+        blocks = blocks[:1]  # even in y, and in x unless x_odd: holds the top mode
     t = k0 ** 2 * profile.n0 ** 2
     counts = {}
     vals, fields = [np.empty(0)], [np.empty((0, g.ny, g.nx))]
@@ -313,26 +308,25 @@ def solve_modes(
 
 def _solve_modes(
     profile: IndexProfile, wavelength: float, n_modes: int, check_edges: bool = True,
-    band: float | None = None, sector: int | None = None,
+    band: float | None = None, x_odd: bool = False,
 ) -> ModeSet:
     """solve_modes, with the Lanczos shift at k0^2 band^2 for an effective
-    index `band` inside the wanted band, or restricted to the x-even
-    (sector 0) or x-odd (sector 1) sector of an x-symmetric profile (see the
-    module docstring); solve_modes is the far-shift case on every sector."""
+    index `band` inside the wanted band, and with x_odd restricted to the
+    x-odd sector of an x-symmetric profile (see the module docstring);
+    solve_modes is the far-shift case on the whole profile."""
     n_modes = _integer(n_modes, "n_modes", 1)
     k0 = _wavenumber(wavelength)
     g = profile.grid
-    k = min(n_modes, g.nx * g.ny - 2)
     sigma = k0 ** 2 * float(profile.n.max()) ** 2 * (1.0 + 1e-9) + 1e-9
     shift = None if band is None else k0 ** 2 * band ** 2
 
     try:
-        vals, fields = _block_eigenpairs(profile, k0, sigma, k, shift, sector)
+        vals, fields = _block_eigenpairs(profile, k0, sigma, n_modes, shift, x_odd)
     except (ArpackError, ArpackNoConvergence, RuntimeError) as exc:
         raise EigensolverError(f"mode solve failed on {g.nx}x{g.ny} grid: {exc}") from exc
 
     n_eff = np.sqrt(np.maximum(vals, 0.0)) / k0
-    top = np.argsort(vals)[::-1][:k]
+    top = np.argsort(vals)[::-1][:n_modes]
     order = [j for j in top if n_eff[j] > profile.n0]  # bound, descending
     n_eff = n_eff[order]
 

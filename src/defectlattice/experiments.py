@@ -144,10 +144,11 @@ def pair_splitting_beta(gap_um: float, config: EmeConfig = DEFAULT_EME_CONFIG) -
     beta = pi * (n_eff+ - n_eff-) / lambda, converted from 1/um to 1/cm.
     The pair is mirror-exact in x on its centred grid, so n_eff+ and
     n_eff- are the tops of its x-even and x-odd sectors: two k = 1 solves
-    with no bound-mode count (see eme.modes).  The x-even one is at the far
-    shift.  The x-odd one is at the in-band shift k0^2 n_eff+^2: the x-odd
-    top lies below the x-even top (Perron-Frobenius), so no x-odd eigenvalue
-    is above that shift, and the pair nearest it is certified as the top.
+    with no bound-mode count (see eme.modes).  The x-even top is the top
+    mode, a plain solve_modes call at the far shift.  The x-odd one is an
+    x_odd solve at the in-band shift k0^2 n_eff+^2: the x-odd top lies below
+    the x-even top (Perron-Frobenius), so no x-odd eigenvalue is above that
+    shift, and the pair nearest it is certified as the top.
     A splitting that rounds to 0 makes that shift an eigenvalue; the x-odd
     sector is then solved at the far shift, and beta = 0 raises.
     Raises InvalidSpecError unless both are bound and beta is finite and
@@ -156,10 +157,10 @@ def pair_splitting_beta(gap_um: float, config: EmeConfig = DEFAULT_EME_CONFIG) -
     """
     geom = WaveguideGeometry.from_spacings(2, gap_um, gap_um)
     profile = array_profile(config.ricker(), geom, config.grid_for(geom))
-    even = _solve_modes(profile, config.wavelength, 1, sector=0)
+    even = solve_modes(profile, config.wavelength, 1)
     # with no bound x-even top there is no shift to place, and no bound x-odd top
     odd = even if even.n_modes < 1 else _solve_modes(
-        profile, config.wavelength, 1, band=float(even.n_eff[0]), sector=1)
+        profile, config.wavelength, 1, band=float(even.n_eff[0]), x_odd=True)
     if odd.n_modes < 1:
         raise InvalidSpecError(f"two-guide system at gap {gap_um} um has < 2 bound modes")
     beta = float(np.pi * (even.n_eff[0] - odd.n_eff[0]) / config.wavelength * UM_PER_CM)

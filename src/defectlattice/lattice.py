@@ -87,7 +87,7 @@ class TridiagonalOperator:
         """Eigenvalues (ascending) and orthonormal eigenvector columns."""
         try:
             return eigh_tridiagonal(np.zeros(self.n_sites), self.off_diagonal)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        except np.linalg.LinAlgError as exc:
             raise InvalidSpecError(
                 f"tridiagonal eigensolver failed for size {self.n_sites}: {exc}"
             ) from exc

@@ -505,8 +505,7 @@ def bound_state_energies(delta: float) -> tuple[float, float] | None:
     band [-2, 2].
     """
     delta = _check_delta(delta)
-    d2 = delta * delta
-    if d2 - 2.0 <= _BOUND_MARGIN:
+    if delta * delta - 2.0 <= _BOUND_MARGIN:
         return None
-    omega = d2 / math.sqrt(d2 - 1.0)
+    omega = regime_params(delta).omega
     return (omega, -omega)

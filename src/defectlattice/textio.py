@@ -2,8 +2,9 @@
 
 Conventions: comma separators, one header row, LF endings, UTF-8, numbers
 at 17 significant digits (bit-exact for IEEE doubles).  Missing values
-(NaN in memory) are empty fields, never NaN/inf tokens.  The package only
-writes CSV; the tests read it back (tests/helpers.py).
+(NaN in memory) are empty fields, never NaN/inf tokens: format_value takes
+a float (numpy floats included).  The package only writes CSV; the tests
+read it back (tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -13,14 +14,8 @@ import math
 import os
 
 
-def format_value(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+def format_value(x: float) -> str:
+    return "" if math.isnan(x) else format(x, ".17g")
 
 
 @contextlib.contextmanager

@@ -86,6 +86,12 @@ def test_domain_errors():
         bessel_j_array(2, np.array([1.0, 2.0e4]))
     with pytest.raises(InvalidSpecError, match=r"one per x \(3\), got shape \(2,\)"):
         bessel_j_array(np.array([1, 2]), np.array([1.0, 2.0, 3.0]))
+    # one l_max per row: the first entry that is not an integer >= 0 is named
+    for l_max, message in (([1, -1], r"l_max\[1\] must be >= 0, got -1"),
+                           ([1, 2.5], r"l_max\[1\] must be an integer, got 2\.5"),
+                           ([1, [2, 3]], r"l_max\[1\] must be an integer, got \[2, 3\]")):
+        with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+            bessel_j_array(l_max, np.array([1.0, 2.0]))
     for order in (0.5, -1.5, np.nan, np.inf, "2"):
         with pytest.raises(InvalidSpecError, match=f"order must be an integer, got {order}"):
             bessel_j(order, 1.0)

@@ -202,6 +202,14 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert [tuple(r) for r in back] == rows
 
 
+def test_csv_bytes(tmp_path):
+    # nan is an empty field; +-0.0 keep their sign; numpy floats format as floats
+    path = tmp_path / "vals.csv"
+    write_csv(str(path), ["a", "b", "c"],
+              [(np.nan, 0.0, -0.0), (1 / 3, np.float64(-0.0), np.float64(1e300))])
+    assert path.read_bytes() == b"a,b,c\n,0,-0\n0.33333333333333331,-0,1.0000000000000001e+300\n"
+
+
 def test_propagate_csv(tmp_path):
     out = tmp_path / "p.csv"
     rc = main(["propagate", "--sites", "4", "--delta", "2.0", "--steps", "30",

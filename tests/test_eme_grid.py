@@ -94,6 +94,24 @@ def test_file_round_trip_bit_exact(tmp_path, rng):
     assert np.array_equal(back.values, vals)  # 17 significant digits round-trip
 
 
+def test_file_bytes(tmp_path):
+    # the header line, then one row per y at 17 significant digits: -0.0, the
+    # smallest subnormal, nan and values near the float range keep their text
+    vals = np.zeros((8, 8))
+    vals[0] = [-0.0, 5e-324, np.nan, 1.2345678901234567e300, 1 / 3, -2.5, 0.1, 1.0]
+    vals[7, 7] = -1e300
+    path = tmp_path / "field.txt"
+    write_field(str(path), Field(TransverseGrid(8, 8, 0.1, 0.25, -0.35, -0.875), vals))
+    zeros = "0 0 0 0 0 0 0 0\n"
+    assert path.read_bytes() == (
+        "# nx=8 ny=8 dx=0.10000000000000001 dy=0.25 x0=-0.34999999999999998 y0=-0.875\n"
+        "-0 4.9406564584124654e-324 nan 1.2345678901234567e+300 0.33333333333333331 -2.5 "
+        "0.10000000000000001 1\n"
+        + 6 * zeros
+        + "0 0 0 0 0 0 0 -1.0000000000000001e+300\n"
+    ).encode()
+
+
 def test_file_rejects_complex_and_bad_header(tmp_path):
     g = TransverseGrid.centered(4.0, 4.0, 0.5, 0.5)
     with pytest.raises(InvalidSpecError):

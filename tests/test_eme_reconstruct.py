@@ -17,6 +17,7 @@ from defectlattice import (
 )
 from defectlattice.eme import (
     Field,
+    ModeSet,
     RickerParams,
     TransverseGrid,
     fit_ricker,
@@ -166,6 +167,15 @@ def test_cut_rising_on_both_sides_has_no_minimum():
         _minima_distance(x, x ** 2, 5)
 
 
+def test_refinement_window_of_few_finite_samples_keeps_the_sample():
+    from defectlattice.eme.reconstruct import _refine_minimum
+
+    x = np.arange(-5.0, 6.0)
+    cut = np.full(x.size, np.nan)
+    cut[4:7] = [1.0, 0.5, 1.0]  # three finite samples, too few for the spline
+    assert _refine_minimum(x, cut, 5) == 0.0
+
+
 def test_fit_refuses_a_peak_on_the_boundary():
     # brightest in the last column, where the Laplacian and so the mask are undefined
     psi = np.exp((X - SMALL.x[-1]) / 2.0)
@@ -190,6 +200,23 @@ def test_fit_of_four_guides_stays_below_half_fidelity():
     psi = sum(np.exp(-((x - a) ** 2 + (y - b) ** 2) / 8.0) for a in (-7, 7) for b in (-7, 7))
     with pytest.raises(FitFailureError, match=r"^fit fidelity 0\.\d{3} below 0\.5$"):
         fit_ricker(Field(grid, psi), LAM, N0)
+
+
+def test_candidate_binding_no_mode_scores_zero(synthetic, monkeypatch):
+    # every candidate binds nothing, so each scores fidelity 0 and the fit fails
+    import defectlattice.eme.reconstruct as reconstruct_module
+
+    solved = []
+
+    def no_mode(profile, wavelength, n_modes, check_edges=True):
+        solved.append(n_modes)
+        return ModeSet(profile.grid, (), np.empty(0), wavelength, n_modes)
+
+    monkeypatch.setattr(reconstruct_module, "solve_modes", no_mode)
+    mode, _ = synthetic
+    with pytest.raises(FitFailureError, match=r"^fit fidelity 0\.000 below 0\.5$"):
+        fit_ricker(mode, LAM, N0)
+    assert set(solved) == {1}  # k = 1 candidates, at least one
 
 
 _LAZY_IMPORTS_SCRIPT = """

@@ -134,6 +134,12 @@ def test_onset_interpolates():
     assert onset_time(ser, 0.5) == pytest.approx(1.5)
 
 
+def test_onset_at_the_first_sample():
+    grid = TimeGrid(np.array([0.5, 1.0, 2.0]))
+    ser = DeviationSeries(grid, np.array([1.0, 2.0, 3.0]), np.zeros(3))
+    assert onset_time(ser, 0.5) == 0.5
+
+
 def _onset(delta, n, tau_max=12.0, points=4801, thr=1e-6):
     grid = TimeGrid.uniform(tau_max, points)
     ser = deviation(delta, n, grid)

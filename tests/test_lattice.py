@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+import defectlattice.lattice as lattice_module
 from defectlattice import (
     AmplitudeTrace,
     InvalidSpecError,
@@ -86,6 +87,16 @@ def test_counts_must_be_integral(call, name, minimum):
     # integral values of any type are counts
     call(float(minimum + 1))
     call(np.int64(minimum + 1))
+
+
+def test_eigensolver_failure_names_the_size(monkeypatch):
+    def fail(*args, **kw):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(lattice_module, "eigh_tridiagonal", fail)
+    with pytest.raises(InvalidSpecError,
+                       match="^tridiagonal eigensolver failed for size 5: did not converge$"):
+        TridiagonalOperator(np.ones(4)).eigensystem()
 
 
 def test_operator_bonds_must_be_1d():

@@ -1,10 +1,11 @@
 """Every real-valued input goes through one check: errors._real for a scalar,
 errors._real_array for an array.
 
-Each scalar site rejects a string, None, NaN, +-inf and arrays (a 1-element
-and a 0-d one) with InvalidSpecError naming the parameter, and so does each
-number outside the site's range.  Each array site rejects a string array and
-an array with a None or complex entry naming the parameter, and an array with
+Each scalar site rejects a string, None, NaN, +-inf, an int past the float
+range and arrays (a 1-element and a 0-d one) with InvalidSpecError naming
+the parameter, and so does each number outside the site's range.  Each
+array site rejects a string array and an array with a None or complex
+entry naming the parameter, and an array with
 a NaN, +-inf or out-of-range entry naming the parameter, the entry's index
 and its value.  The tau of the c0 evaluators and the x of bessel_j_array
 take a scalar or a 1-D array: they reject a 2-D array in place of the
@@ -124,9 +125,10 @@ SITES = {
     },
 }
 
-# in range at every site, so only the type rejects the string and the arrays
+# in range at every site, so only the type rejects the string and the arrays; an
+# int past the float range converts to inf, which is not finite
 BAD = {"str": "0.5", "None": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-       "array1": np.array([0.5]), "array0": np.array(0.5)}
+       "array1": np.array([0.5]), "array0": np.array(0.5), "int_past_float": 10 ** 400}
 
 # sites that also take a 1-D array (ARRAY_SITES checks its entries): there a
 # 1-element array is valid, so the array1 case passes a 1-element 2-D one
