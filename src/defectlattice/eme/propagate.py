@@ -58,32 +58,16 @@ def propagate_eme(modes: ModeSet, input_field: Field, z_list_cm) -> list[Field]:
 
 
 def shift_mode(mode: Field, dx_um: float) -> Field:
-    """Mode displaced by dx_um along x (linear interpolation, zero outside).
+    """Mode displaced by dx_um along x, zero outside the grid.
 
-    Guide spacings are generally not integer multiples of the grid step,
-    so localized basis modes are re-sampled rather than index-shifted.
-    Every row is sampled at the same points x - dx_um, so all rows are
-    interpolated at once with np.interp's arithmetic and rules: a point on
-    a node takes the node's value, one past either end 0.  For finite real
-    values each row is np.interp(x - dx_um, x, row, left=0, right=0) bit
-    for bit.
+    Each row is np.interp(x - dx_um, x, row, left=0, right=0): guide
+    spacings are generally not integer multiples of the grid step, so
+    localized basis modes are re-sampled rather than index-shifted.
     """
     dx_um = _real(dx_um, "dx_um")
     x = mode.grid.x
-    v = np.asarray(mode.values, dtype=np.result_type(mode.values, float))
-    xq = x - dx_um
-    j = np.searchsorted(x, xq, side="right") - 1  # x[j] <= xq < x[j + 1]
-    i = np.clip(j, 0, x.size - 2)
-    lo = v[:, i]
-    with np.errstate(over="ignore", invalid="ignore"):  # np.interp's are silent too
-        out = v[:, i + 1] - lo
-        out /= x[i + 1] - x[i]  # the slope
-        out *= xq - x[i]
-        out += lo
-    node = (j >= 0) & (x[np.maximum(j, 0)] == xq)  # the last node included
-    out[:, node] = v[:, j[node]]
-    out[:, (j < 0) | (xq > x[-1])] = 0.0
-    return Field(mode.grid, out)
+    return Field(mode.grid, np.array([np.interp(x - dx_um, x, row, left=0.0, right=0.0)
+                                      for row in mode.values]))
 
 
 def _guide_intensities(

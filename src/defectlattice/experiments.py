@@ -154,6 +154,10 @@ def pair_splitting_beta(gap_um: float, config: EmeConfig = DEFAULT_EME_CONFIG) -
     Raises InvalidSpecError unless both are bound and beta is finite and
     > 0: the EME time axis is tau / beta.  Cached: the same calibration is
     shared by every preset at the same gap.
+    Grid error: beta converges like step^2 and from below.  At the default
+    step 0.5 um it is 3.8% (gap 27.1 um) and 4.5% (31.2 um) under the
+    Richardson limit of steps 1.0 and 0.5; tests hold that between 3% and
+    6%.  Ratios of two couplings err far less (A1's delta_fit, 0.74%).
     """
     geom = WaveguideGeometry.from_spacings(2, gap_um, gap_um)
     profile = array_profile(config.ricker(), geom, config.grid_for(geom))

@@ -211,6 +211,17 @@ def test_pair_calibration_pins(gap):
     assert pair_splitting_beta(gap, COARSE) == pytest.approx(PINNED_BETA[gap], rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("gap", [27.1, 31.2])  # the A2 bulk gap and the A1 first gap
+def test_pair_calibration_grid_error(gap):
+    # successive differences at steps 1.0, 0.75 and 0.5 shrink by 1.4 for an
+    # error of order h^2 (1.0 for h, 1.95 for h^3); the Richardson limit of
+    # steps 1.0 and 0.5 puts the default-step coupling 3.8% and 4.5% low
+    beta = {h: pair_splitting_beta(gap, EmeConfig(step=h)) for h in (1.0, 0.75, 0.5)}
+    assert 1.2 < (beta[0.75] - beta[1.0]) / (beta[0.5] - beta[0.75]) < 1.6
+    limit = (4.0 * beta[0.5] - beta[1.0]) / 3.0
+    assert 0.03 < 1.0 - beta[0.5] / limit < 0.06
+
+
 @pytest.mark.parametrize("gap", sorted(PINNED_BETA))
 def test_pair_calibration_solves_the_odd_sector_in_band(gap, monkeypatch):
     # two factorizations, no count: the x-even top at the far shift, then the
@@ -230,8 +241,8 @@ def test_pair_calibration_solves_the_odd_sector_in_band(gap, monkeypatch):
     monkeypatch.setattr(modes_module, "splu", splu)
     monkeypatch.setattr(modes_module, "eigsh", eigsh)
     beta = pair_splitting_beta.__wrapped__(gap, COARSE)  # past the cache
-    assert beta == pair_splitting_beta(gap, COARSE)
     monkeypatch.undo()
+    assert beta == pair_splitting_beta(gap, COARSE)  # a cold cache factors again
     geom = WaveguideGeometry.from_spacings(2, gap, gap)
     profile = array_profile(COARSE.ricker(), geom, COARSE.grid_for(geom))
     n_even = solve_modes(profile, COARSE.wavelength, 1).n_eff[0]

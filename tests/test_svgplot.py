@@ -1,4 +1,4 @@
-"""SVG chart writer: the exact bytes of two small charts."""
+"""SVG chart writer: the exact bytes of small charts."""
 
 import hashlib
 import math
@@ -12,7 +12,9 @@ X = [0.0, 1.0, 2.0, 3.0, 4.0]
 
 # (series, log_y, title, SHA-256 of the file): a NaN and a None break the
 # linear chart's lines, a 0 the log chart's; a point left alone by a break
-# still sets the axis range but draws no line
+# still sets the axis range but draws no line.  The last three have an empty
+# range that the chart widens: one x value, one y value, and two y values one
+# ulp apart whose log10 rounds to one value
 CHARTS = {
     "linear-gaps": (
         [("a", X, [0.0, 1.0, math.nan, 2.0, 1.5]), ("b", X, [1.0, 0.5, 0.25, None, -0.5])],
@@ -25,6 +27,24 @@ CHARTS = {
         True,
         "",
         "3fd89a8ab05376ccca700e554c4e4800f919d6815ce57aa08a560fc3f7013ba8",
+    ),
+    "single-x": (
+        [("a", [2.0], [0.5]), ("b", [2.0], [1.5])],
+        False,
+        "",
+        "76f2029f5a9e7c2b82f9fae0058e5ad773ee9f37e1a021b02fee71d101f22357",
+    ),
+    "constant-linear": (
+        [("c", X, [0.3] * 5)],
+        False,
+        "",
+        "4b2b885bbac45b5469942f62f581c718fd025698ba69d069bde8dbe261669d7f",
+    ),
+    "flat-log": (
+        [("c", X, [1e10, math.nextafter(1e10, math.inf), 1e10, 1e10, 1e10])],
+        True,
+        "",
+        "fdf9904c6bb60053c12486f30898fd5836426af6eafccb21a04dc34439d30802",
     ),
 }
 
