@@ -22,8 +22,18 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _range_error(axis: str, lo: float, hi: float) -> InvalidSpecError:
+    return InvalidSpecError(
+        f"cannot draw the {axis} axis over [{lo:.17g}, {hi:.17g}]: its span is not "
+        "finite and positive at float precision"
+    )
+
+
+def _ticks(lo: float, hi: float, axis: str, n: int = 6) -> list[float]:
     raw = (hi - lo) / max(n - 1, 1)
+    top = max(abs(lo), abs(hi))
+    if not (0.0 < raw < math.inf and top + raw > top):  # else the tick loop never ends
+        raise _range_error(axis, lo, hi)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -79,7 +89,10 @@ def line_chart(
     log_y: bool = False,
 ) -> None:
     """Write an SVG chart of (name, x, y) series; a NaN or absent y-point (or
-    on a log axis a y <= 0) is skipped and breaks the series' line."""
+    on a log axis a y <= 0) is skipped and breaks the series' line.  An axis
+    range whose widened span is not finite and positive at float precision
+    (for example one x value at 1e17, or y values near +-1e308) raises
+    InvalidSpecError and writes nothing."""
     runs = [_runs(xs, ys, log_y) for _, xs, ys in series]
     pts = [p for series_runs in runs for run in series_runs for p in run]
     if not pts:
@@ -98,11 +111,13 @@ def line_chart(
         s_lo, s_hi = math.log10(y_lo), math.log10(y_hi)
         if s_hi == s_lo:
             s_hi += 1.0
+        if not s_hi - s_lo < math.inf:
+            raise _range_error("y", y_lo, y_hi)
         y_ticks = [t for t in _log_ticks(y_lo, y_hi) if y_lo <= t <= y_hi] or [y_lo, y_hi]
     else:
         pad = 0.04 * (y_hi - y_lo)
         s_lo, s_hi = y_lo - pad, y_hi + pad
-        y_ticks = _ticks(s_lo, s_hi)
+        y_ticks = _ticks(s_lo, s_hi, "y")
 
     def tx(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
@@ -124,7 +139,7 @@ def line_chart(
         f'<rect x="{_fmt(_ML)}" y="{_fmt(_MT)}" width="{_fmt(_W - _ML - _MR)}" '
         f'height="{_fmt(_H - _MT - _MB)}" fill="none" {axis}/>'
     )
-    for t in _ticks(x_lo, x_hi):
+    for t in _ticks(x_lo, x_hi, "x"):
         px = tx(t)
         parts.append(_line(px, _H - _MB, px, _H - _MB + 5, axis))
         parts.append(_text(px, _H - _MB + 18, 11, _fmt(t)))

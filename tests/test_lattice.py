@@ -1,5 +1,6 @@
 """Chain construction and exact propagation."""
 
+import ctypes
 import re
 
 import numpy as np
@@ -89,14 +90,80 @@ def test_counts_must_be_integral(call, name, minimum):
     call(np.int64(minimum + 1))
 
 
-def test_eigensolver_failure_names_the_size(monkeypatch):
-    def fail(*args, **kw):
-        raise np.linalg.LinAlgError("did not converge")
+def _fake_dbdsdc(info):
+    """A stand-in for dbdsdc's entry point: it zeroes VT and sets INFO."""
+    def call(uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info_at):
+        size = ctypes.c_int.from_address(n).value
+        ctypes.memset(vt, 0, ctypes.sizeof(ctypes.c_double) * size * size)
+        ctypes.c_int.from_address(info_at).value = info
+    return lambda: call
 
-    monkeypatch.setattr(lattice_module, "eigh_tridiagonal", fail)
+
+def test_eigensolver_failure_names_the_size(monkeypatch):
+    monkeypatch.setattr(lattice_module, "_dbdsdc", _fake_dbdsdc(1))
     with pytest.raises(InvalidSpecError,
                        match="^tridiagonal eigensolver failed for size 5: did not converge$"):
         TridiagonalOperator(np.ones(4)).eigensystem()
+
+
+@pytest.mark.parametrize(
+    "info, n_sites, reason",
+    [
+        (-4, 4, "dbdsdc argument 4 is invalid"),
+        # odd N: no right singular vector is the fictitious site's e_last
+        (0, 5, "the fictitious site's singular vector has weight 0.0, not 1"),
+    ],
+    ids=["illegal-argument", "no-null-vector"],
+)
+def test_eigensolver_rejects_bad_lapack_output(monkeypatch, info, n_sites, reason):
+    monkeypatch.setattr(lattice_module, "_dbdsdc", _fake_dbdsdc(info))
+    message = f"tridiagonal eigensolver failed for size {n_sites}: {reason}"
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        TridiagonalOperator(np.ones(n_sites - 1)).eigensystem()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigensystem_rechecks_bonds_changed_after_construction(bad):
+    off = np.ones(4)
+    op = TridiagonalOperator(off)
+    off[0] = bad  # the operator holds the caller's array
+    with pytest.raises(InvalidSpecError, match=r"off_diagonal\[0\] must be finite"):
+        op.eigensystem()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 400),
+    bonds=st.sampled_from(["defect", "positive", "signed", "zeros"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(n=1, bonds="positive", seed=0)
+@example(n=2, bonds="signed", seed=0)
+@example(n=3, bonds="zeros", seed=0)
+@example(n=2001, bonds="defect", seed=0)
+def test_eigensystem_matches_eigh_tridiagonal(n, bonds, seed):
+    rng = np.random.default_rng(seed)
+    if bonds == "defect":  # the delta = 4.17 chain: bound states at +-Omega
+        off = np.ones(n - 1)
+        off[:1] = 4.17
+    elif bonds == "positive":
+        off = rng.uniform(0.05, 3.0, n - 1)
+    else:
+        off = rng.normal(size=n - 1)
+        if bonds == "zeros":
+            off[rng.random(n - 1) < 0.3] = 0.0
+    w, v = TridiagonalOperator(off).eigensystem()
+
+    assert np.max(np.abs(w - eigh_tridiagonal(np.zeros(n), off, eigvals_only=True))) <= 1e-12
+    hv = np.zeros_like(v)
+    hv[:-1] += off[:, None] * v[1:]
+    hv[1:] += off[:, None] * v[:-1]
+    assert np.max(np.abs(hv - v * w)) <= 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-13
+    assert np.all(np.diff(w) >= 0)
+    assert np.array_equal(w, -w[::-1])
+    if n % 2:
+        assert w[n // 2] == 0.0
 
 
 def test_operator_bonds_must_be_1d():
@@ -136,9 +203,8 @@ def test_decay_rate_length_must_match_the_grid(size):
         effective_decay_rate(np.ones(size), TimeGrid.uniform(1.0, 5))
 
 
-def _full_chain_amplitudes(off, state0, tau):
-    """exp(-i H tau) state0 from the eigendecomposition of all N sites."""
-    w, v = eigh_tridiagonal(np.zeros(off.size + 1), off)
+def _full_chain_amplitudes(w, v, state0, tau):
+    """exp(-i H tau) state0 from the eigendecomposition w, v of all N sites."""
     return (np.exp(-1j * np.outer(tau, w)) * (v.T @ state0)) @ v.T
 
 
@@ -166,13 +232,14 @@ def test_light_cone_matches_full_chain(delta, n, start, width, tau0, span, seed)
     tau = np.linspace(tau0, tau0 + span, 7)
 
     amps = propagate(TridiagonalOperator(off), state0, TimeGrid(tau)).amplitudes
-    full = _full_chain_amplitudes(off, state0, tau)
+    full = _full_chain_amplitudes(*eigh_tridiagonal(np.zeros(n), off), state0, tau)
     assert np.max(np.abs(amps - full)) < 1e-13
 
     s = max(np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0)))
     k = _tail_order(0.5 * s * tau[-1], _CONE_BOUND / 4, n - m)
     if k is None or m + k >= n:  # N inside the cone: the whole chain, bit for bit
-        assert np.array_equal(amps, full)
+        whole = _full_chain_amplitudes(*TridiagonalOperator(off).eigensystem(), state0, tau)
+        assert np.array_equal(amps, whole)
 
 
 def test_initial_state():

@@ -62,8 +62,19 @@ def test_line_chart_bytes(tmp_path, name):
     [
         ([("a", X, [1.0, 2.0])], False, "lengths differ"),
         ([("a", X, [0.0, -1.0, math.nan, None, 0.0])], True, "nothing to plot"),
+        # an x or y range whose widened or padded span is zero, infinite, or
+        # too narrow for a tick step to move a float at its magnitude
+        ([("a", [1e17], [1.0])], False, "the x axis"),
+        ([("a", [1e308], [1.0])], False, "the x axis"),
+        ([("a", [1e17, 1e17 + 16], [1.0, 2.0])], False, "the x axis"),
+        ([("a", X, [1e308] * 5)], False, "the y axis"),
+        ([("a", X, [1e308] * 5)], True, "the y axis"),
+        ([("a", [0.0, 1.0], [-1e308, 1e308])], False, "the y axis"),
+        ([("a", [0.0, 1.0], [0.0, 1.75e308])], False, "the y axis"),
     ],
-    ids=["length-mismatch", "nothing-to-plot"],
+    ids=["length-mismatch", "nothing-to-plot", "single-x-1e17", "single-x-1e308",
+         "x-step-below-ulp", "constant-y-1e308", "constant-log-y-1e308", "y-span-overflows",
+         "y-padding-overflows"],
 )
 def test_line_chart_rejects_and_writes_nothing(tmp_path, series, log_y, message):
     path = tmp_path / "chart.svg"
